@@ -1,18 +1,22 @@
 """Dense factorizations and condition estimation.
 
-Column-major numpy arrays are the working representation throughout.  The
-routines here are Householder QR, triangular, LU, and Cholesky solves, a
-one-sided Jacobi singular value kernel, and the Hager 1-norm inverse
-estimator; they compute in the dtype of the input array, so they serve the
-binary32 and binary64 paths alike.  condition_diagnostics uses LAPACK.
+QR, triangular, LU and Cholesky solves and the singular values behind
+condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
+raise the package's typed errors and compute in the common dtype of their
+inputs (binary32 stays binary32; binary16 is promoted to binary32).  Two hand-written kernels remain: the
+Householder reduction that the emulated binary16 path needs, and a
+one-sided Jacobi singular value kernel kept as an independent reference.
+The Hager 1-norm inverse estimator drives any black-box solver.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, svdvals
+from scipy import linalg
+from scipy.linalg import LinAlgError, LinAlgWarning, svdvals
 
 from .errors import (
     DimensionMismatch,
@@ -65,53 +69,16 @@ def _as_matrix(a, name="a"):
     return arr
 
 
-class _NativeOps:
-    """Arithmetic primitives evaluated in the array's own dtype.
-
-    The Householder kernel is written against this small protocol so the
-    precision module can substitute a binary16 implementation that rounds
-    after every scalar operation.
-    """
-
-    @staticmethod
-    def dot(u, v):
-        return u @ v
-
-    @staticmethod
-    def vec_mat(v, m):
-        return v @ m
-
-    @staticmethod
-    def rank1_sub(m, v, w):
-        m -= np.outer(v, w)
-
-    @staticmethod
-    def scale(t, v):
-        return t * v
-
-    @staticmethod
-    def sqrt(s):
-        return np.sqrt(s)
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-
-NATIVE_OPS = _NativeOps()
-
-
-def householder_reduce(a, ops=NATIVE_OPS):
+def householder_reduce(a, ops):
     """Reduce a to upper-triangular form by Householder reflections.
+
+    The binary16 kernel: ops rounds every scalar operation, which LAPACK
+    cannot do.
 
     Parameters
     ----------
     a : ndarray, shape (m, n) with m >= n
-    ops : arithmetic protocol, see _NativeOps
+    ops : arithmetic protocol, see precision.HALF_OPS
 
     Returns
     -------
@@ -161,7 +128,7 @@ def householder_reduce(a, ops=NATIVE_OPS):
     return reflectors, taus, np.array(w[:n, :], copy=True)
 
 
-def accumulate_thin_q(reflectors, taus, m, n, ops=NATIVE_OPS, dtype=np.float64):
+def accumulate_thin_q(reflectors, taus, m, n, ops, dtype):
     """Form the thin Q factor by applying reflectors backward to eye(m, n)."""
     q = np.zeros((m, n), dtype=dtype, order="F")
     q[np.arange(n), np.arange(n)] = 1
@@ -172,8 +139,22 @@ def accumulate_thin_q(reflectors, taus, m, n, ops=NATIVE_OPS, dtype=np.float64):
     return q
 
 
+def _tall_matrix(a):
+    a = _as_matrix(a)
+    m, n = a.shape
+    if m < n:
+        raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
+    return a
+
+
+def _check_diagonal(r, error):
+    zero = np.nonzero(np.diagonal(r) == 0)[0]
+    if zero.size:
+        raise error(f"zero diagonal entry at index {zero[0]}")
+
+
 def householder_qr(a):
-    """Thin Householder QR of a tall matrix.
+    """Thin QR of a tall matrix by LAPACK (scipy.linalg.qr, economic mode).
 
     Parameters
     ----------
@@ -183,26 +164,48 @@ def householder_qr(a):
     -------
     QRFactors
         q (m, n) with orthonormal columns, r (n, n) upper triangular with
-        exact zeros below the diagonal, both in the dtype of a.
+        exact zeros below the diagonal, both in the dtype of a (binary16
+        input is factored in binary32).
 
     Raises
     ------
     DimensionMismatch
         If m < n.
     RankDeficient
-        If a pivot column is exactly zero.
+        If r has an exactly zero diagonal entry.
     """
-    a = _as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
-    reflectors, taus, r = householder_reduce(a)
-    q = accumulate_thin_q(reflectors, taus, m, n, dtype=a.dtype)
+    q, r = linalg.qr(_tall_matrix(a), mode="economic", check_finite=False)
+    _check_diagonal(r, RankDeficient)
     return QRFactors(q=q, r=r)
 
 
+def qr_r_factor(a):
+    """Triangular factor alone of the thin QR of a tall matrix, by LAPACK.
+
+    Same r as householder_qr(a).r without forming q.
+
+    Raises
+    ------
+    DimensionMismatch
+        If m < n.
+    RankDeficient
+        If r has an exactly zero diagonal entry.
+    """
+    a = _tall_matrix(a)
+    r = linalg.qr(a, mode="r", check_finite=False)[0][:a.shape[1]]
+    _check_diagonal(r, RankDeficient)
+    return r
+
+
+def _check_rhs(n, rhs):
+    rhs = np.asarray(rhs)
+    if rhs.shape[0] != n:
+        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != n = {n}")
+    return rhs
+
+
 def triangular_solve(r, rhs, transposed=False):
-    """Solve r x = rhs, or r^T x = rhs when transposed, by substitution.
+    """Solve r x = rhs, or r^T x = rhs when transposed, by LAPACK trtrs.
 
     Parameters
     ----------
@@ -210,7 +213,7 @@ def triangular_solve(r, rhs, transposed=False):
         Upper triangular.  Only the upper triangle is referenced.
     rhs : ndarray, shape (n,) or (n, k)
     transposed : bool
-        Solve with r^T (forward substitution) instead of r.
+        Solve with r^T instead of r.
 
     Raises
     ------
@@ -220,34 +223,17 @@ def triangular_solve(r, rhs, transposed=False):
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"r must be square, got shape {r.shape}")
-    n = r.shape[0]
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != n = {n}")
-    zero_rows = np.nonzero(np.diagonal(r) == 0)[0]
-    if zero_rows.size:
-        raise SingularTriangular(f"zero diagonal entry at index {zero_rows[0]}")
-    x = np.array(rhs, dtype=np.result_type(r, rhs), copy=True)
-    work = x if x.ndim == 2 else x[:, None]
-    if transposed:
-        for i in range(n):
-            if i:
-                work[i] -= r[:i, i] @ work[:i]
-            work[i] /= r[i, i]
-    else:
-        for i in range(n - 1, -1, -1):
-            if i + 1 < n:
-                work[i] -= r[i, i + 1:] @ work[i + 1:]
-            work[i] /= r[i, i]
-    return x
+    rhs = _check_rhs(r.shape[0], rhs)
+    _check_diagonal(r, SingularTriangular)
+    return linalg.solve_triangular(r, rhs, trans="T" if transposed else "N",
+                                   lower=False, check_finite=False)
 
 
 def lu_solve(a, rhs):
-    """Solve a x = rhs by LU with partial pivoting.
+    """Solve a x = rhs by LU with partial pivoting (LAPACK getrf/getrs).
 
-    Row pivoting picks the largest-magnitude candidate, lowest index on
-    ties.  A pivot magnitude below n * eps * max|a| (or an exactly zero
-    pivot) raises NumericallySingular.
+    A pivot magnitude, i.e. a diagonal entry of U, below
+    n * eps * max|a| (or exactly zero) raises NumericallySingular.
 
     Parameters
     ----------
@@ -258,61 +244,46 @@ def lu_solve(a, rhs):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"a must be square, got shape {a.shape}")
     n = a.shape[0]
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != n = {n}")
-    lu = np.array(a, order="F", copy=True)
-    perm = np.arange(n)
-    thresh = n * np.finfo(lu.dtype).eps * np.abs(lu).max()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv = abs(lu[p, k])
-        if piv < thresh or piv == 0:
-            raise NumericallySingular(
-                f"pivot {k} magnitude {piv:.3e} below threshold {thresh:.3e}")
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    x = np.array(rhs[perm], dtype=np.result_type(lu, rhs), copy=True)
-    work = x if x.ndim == 2 else x[:, None]
-    for i in range(1, n):
-        work[i] -= lu[i, :i] @ work[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            work[i] -= lu[i, i + 1:] @ work[i + 1:]
-        work[i] /= lu[i, i]
-    return x
+    rhs = _check_rhs(n, rhs)
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as NumericallySingular
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = linalg.lu_factor(a, check_finite=False)
+    thresh = n * np.finfo(lu.dtype).eps * np.abs(a).max()
+    pivots = np.abs(np.diagonal(lu))
+    k = int(np.argmin(pivots))
+    if pivots[k] < thresh or pivots[k] == 0:
+        raise NumericallySingular(
+            f"pivot {k} magnitude {pivots[k]:.3e} below threshold {thresh:.3e}")
+    return linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def cholesky_factor(s):
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix (LAPACK).
 
     The input is symmetrized as (s + s^T)/2 before factoring; callers must
-    ensure s is symmetric to within 10 * eps relative tolerance.
+    ensure s is symmetric to within 10 * eps relative tolerance.  The
+    factor has exact zeros above the diagonal.
 
     Raises
     ------
     NotPositiveDefinite
-        If any pivot is <= 0 or non-finite.
+        If LAPACK meets a pivot <= 0, or the factor is not finite (a NaN
+        pivot passes some LAPACK builds' positivity test).
     """
     s = np.asarray(s)
-    n = s.shape[0]
     sym = (s + s.T) / s.dtype.type(2)
-    ell = np.zeros((n, n), dtype=sym.dtype, order="F")
-    for j in range(n):
-        c = sym[j:, j] - ell[j:, :j] @ ell[j, :j]
-        if not (c[0] > 0) or not np.isfinite(c[0]):
-            raise NotPositiveDefinite(f"pivot {j} is {c[0]}")
-        d = np.sqrt(c[0])
-        ell[j, j] = d
-        ell[j + 1:, j] = c[1:] / d
+    try:
+        ell = linalg.cholesky(sym, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky breakdown: {exc}") from exc
+    if not np.isfinite(ell).all():
+        raise NotPositiveDefinite("Cholesky factor has a non-finite pivot")
     return ell
 
 
 def cholesky_solve(s, rhs):
-    """Solve s x = rhs for symmetric positive definite s.
+    """Solve s x = rhs for symmetric positive definite s (LAPACK potrs).
 
     Parameters
     ----------
@@ -324,7 +295,7 @@ def cholesky_solve(s, rhs):
     Raises
     ------
     NotPositiveDefinite
-        If a Cholesky pivot is not strictly positive.
+        If the Cholesky factorization breaks down.
     """
     s = _as_matrix(s, "s")
     if s.shape[0] != s.shape[1]:
@@ -333,13 +304,9 @@ def cholesky_solve(s, rhs):
     scale = np.abs(s).max()
     if dev > 10 * np.finfo(s.dtype).eps * scale:
         raise ValueError("s is not symmetric within 10*eps relative tolerance")
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != s.shape[0]:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != n = {s.shape[0]}")
-    ell = cholesky_factor(s)
-    upper = np.asfortranarray(ell.T)
-    y = triangular_solve(upper, rhs, transposed=True)
-    return triangular_solve(upper, y, transposed=False)
+    rhs = _check_rhs(s.shape[0], rhs)
+    return linalg.cho_solve((cholesky_factor(s), True), rhs,
+                            check_finite=False)
 
 
 @lru_cache(maxsize=None)

@@ -232,8 +232,9 @@ def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
     """Median wall-clock comparison of qr, pne(double), and pne(auto).
 
     Accuracy columns are deterministic for a fixed seed; timings are
-    reported as found, with the speedup over the QR baseline computed from
-    medians and no threshold asserted.
+    reported as found.  speedup_vs_qr is the median time of the qr
+    baseline (LAPACK QR plus a triangular solve) over the method's median
+    time; no threshold is asserted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -154,7 +154,8 @@ def qr_in_precision(a, level):
     """Householder QR with all arithmetic performed in the given precision.
 
     Returns factors promoted to binary64 storage; every value is the exact
-    promotion of the precision-level result.  The binary16 path pre-scales
+    promotion of the precision-level result.  binary32 runs LAPACK sgeqrf
+    on the rounded input.  The binary16 path pre-scales
     the input by an exact power of two so the largest entry sits in
     [0.5, 1), runs the emulated float16 kernel, and un-scales the
     triangular factor after promotion (the un-scaled factor itself may
@@ -182,9 +183,9 @@ def qr_in_precision(a, level):
         rounded = round_to_precision(a, level)
         if rounded.overflowed:
             raise Overflow("input exceeds the binary32 range")
-        reflectors, taus, r = householder_reduce(rounded.data)
-        q = accumulate_thin_q(reflectors, taus, m, n, dtype=np.float32)
-        return QRFactors(q=q.astype(np.float64), r=r.astype(np.float64))
+        factors = householder_qr(rounded.data)
+        return QRFactors(q=factors.q.astype(np.float64),
+                         r=factors.r.astype(np.float64))
     # binary16: exact power-of-two pre-scaling keeps the kernel in range
     work = a.astype(np.float64)
     maxabs = float(np.abs(work).max())

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from . import rng
-from .dense import householder_reduce
+from .dense import qr_r_factor
 from .errors import DegenerateResidual
 from .mmio import read_matrix, read_vector, write_matrix
 
@@ -72,8 +72,7 @@ def triangular_with_condition(n, kappa, seed):
     sv = 10.0 ** np.linspace(0.0, -math.log10(kappa), n)
     u = random_orthogonal_columns(n, n, rng.mix64(seed, 1))
     v = random_orthogonal_columns(n, n, rng.mix64(seed, 2))
-    _, _, r = householder_reduce((u * sv) @ v.T)
-    return r
+    return qr_r_factor((u * sv) @ v.T)
 
 
 def generate_problem(m, n, kappa, rho, seed):

@@ -20,8 +20,8 @@ from .dense import (
     cholesky_solve,
     condition_diagnostics,
     householder_qr,
-    householder_reduce,
     lu_solve,
+    qr_r_factor,
     triangular_solve,
     _as_matrix,
 )
@@ -89,6 +89,8 @@ def _check_system(a, b):
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError(f"b must be 1-D, got ndim={b.ndim}")
+    if not np.isfinite(b).all():
+        raise ValueError("b contains non-finite entries")
     if a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     if b.shape[0] != a.shape[0]:
@@ -118,7 +120,7 @@ def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None):
 
 
 def solve_qr_baseline(a, b, x_star=None):
-    """Reference dense solve: thin Householder QR, then back substitution."""
+    """Reference dense solve: LAPACK thin QR, then back substitution."""
     a, b = _check_system(a, b)
     t0 = time.perf_counter()
     factors = householder_qr(a)
@@ -142,7 +144,7 @@ def solve_seminormal(a, b, x_star=None):
     """Seminormal equations r^T r x = a^T b using only the R factor of a."""
     a, b = _check_system(a, b)
     t0 = time.perf_counter()
-    _, _, r = householder_reduce(a)
+    r = qr_r_factor(a)
     y = triangular_solve(r, a.T @ b, transposed=True)
     x = triangular_solve(r, y)
     return _report("sne", a, b, x, t0, x_star)
@@ -284,10 +286,10 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
     """End-to-end sketch-preconditioned solve with automatic precision.
 
     With precision="auto" the preconditioner precision comes from a cheap
-    binary32 condition estimate: binary16 below 1e4, binary32 up to 1e8,
-    binary64 beyond (or when the estimate overflows).  A fixed precision
-    name ("half", "single", "double" or the binary names) skips the
-    estimate.  The final solve is always binary64.
+    binary64 condition estimate (estimate_log10_condition): binary16 below
+    1e4, binary32 up to 1e8, binary64 beyond (or when the estimate
+    overflows).  A fixed precision name ("half", "single", "double" or the
+    binary names) skips the estimate.  The final solve is always binary64.
 
     Parameters
     ----------

@@ -67,6 +67,16 @@ def test_invalid_arguments_exit_two(tmp_path):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
+def test_non_finite_b_exits_two(tmp_path, capsys):
+    path = _gen(tmp_path)
+    b = load_problem(path).b
+    b[7] = np.nan
+    write_matrix(path / "b.mtx", b)
+    for method in ("qr", "pne", "hpne"):
+        assert main(["solve", "--problem", str(path), "--method", method]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # Gram matrix at kappa = 1e9 is numerically indefinite in binary64
     path = tmp_path / "hard"

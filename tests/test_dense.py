@@ -22,6 +22,7 @@ from sketchlsq.dense import (
     cholesky_solve,
     hager_one_norm_inverse_estimate,
     jacobi_singular_values,
+    qr_r_factor,
 )
 from sketchlsq.rng import stream
 
@@ -223,3 +224,40 @@ def test_hager_is_lower_bound_and_close():
         est = hager_one_norm_inverse_estimate(solve, n)
         assert est <= true_norm * (1.0 + 1e-12)
         assert est >= true_norm / 3.0
+
+
+def test_lapack_wrappers_keep_binary32():
+    gen = stream(31, 3)
+    a = gen.standard_normal((20, 6)).astype(np.float32)
+    rhs = gen.standard_normal(6).astype(np.float32)
+    fac = householder_qr(a)
+    assert fac.q.dtype == np.float32 and fac.r.dtype == np.float32
+    assert qr_r_factor(a).dtype == np.float32
+    assert triangular_solve(fac.r, rhs).dtype == np.float32
+    assert triangular_solve(fac.r, rhs, transposed=True).dtype == np.float32
+    g = a.T @ a
+    assert lu_solve(g, rhs).dtype == np.float32
+    assert cholesky_solve(g, rhs).dtype == np.float32
+
+
+def test_qr_r_factor_is_the_householder_qr_factor():
+    a = stream(32, 3).standard_normal((40, 7))
+    assert np.array_equal(qr_r_factor(a), householder_qr(a).r)
+    with pytest.raises(RankDeficient):
+        qr_r_factor(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        qr_r_factor(np.ones((2, 3)))
+
+
+def test_lu_solve_pivot_below_threshold_raises():
+    # the second pivot is 2^-52: not zero, but below n * eps * max|a|
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+    with pytest.raises(NumericallySingular):
+        lu_solve(a, np.array([1.0, 1.0]))
+
+
+def test_cholesky_rejects_nan_pivot():
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_factor(np.array([[1.0, 0.0], [0.0, np.nan]]))

@@ -1,9 +1,11 @@
 """Tests for low-precision emulation and the precision selector."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchlsq import (
     BINARY16,
@@ -161,3 +163,42 @@ def test_decide_precision_composes():
     decision = decide_precision(_planted(200, 20, 1e10, seed=1))
     assert decision.selected is BINARY64
     assert decision.overflowed
+
+
+def test_qr_in_precision_single_is_lapack_sgeqrf():
+    a = _planted(60, 10, 1e3, seed=5)
+    ref = scipy.linalg.qr(a.astype(np.float32), mode="economic")[1]
+    assert ref.dtype == np.float32
+    got = qr_in_precision(a, BINARY32).r
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ref.astype(np.float64))
+
+
+def test_qr_in_precision_half_matches_pinned_factors():
+    """The emulated binary16 kernel reproduces factors recorded from the
+    release before binary32/64 moved to LAPACK, bit for bit."""
+    a = 3.0 * stream(17, 3).standard_normal((8, 3))
+    fac = qr_in_precision(a, BINARY16)
+    q = np.array([
+        [-0.521484375, -0.292724609375, 0.053863525390625],
+        [0.38720703125, -0.54931640625, -0.57470703125],
+        [-0.206787109375, 0.374755859375, -0.71533203125],
+        [0.159912109375, 0.459716796875, 0.158447265625],
+        [-0.392578125, 0.2171630859375, -0.340087890625],
+        [0.59375, 0.239990234375, -0.090576171875],
+        [-0.034515380859375, 0.06689453125, 0.048309326171875],
+        [0.023223876953125, 0.3896484375, -0.032562255859375],
+    ])
+    r = np.array([
+        [9.7421875, 3.1015625, 2.033203125],
+        [0.0, -8.8984375, 2.3359375],
+        [0.0, 0.0, -6.00390625],
+    ])
+    assert np.array_equal(fac.q, q)
+    assert np.array_equal(fac.r, r)
+    # a larger case, where the pairwise reduction trees are deeper
+    a = 3.0 * stream(17, 3).standard_normal((40, 6))
+    fac = qr_in_precision(a, BINARY16)
+    digest = hashlib.sha256(fac.q.tobytes() + fac.r.tobytes()).hexdigest()
+    assert digest == (
+        "ed7cc5386b492d2de54f6da2c01dc7117cd4bc4d936e1313c3a47eeb2ed28745")

@@ -176,3 +176,23 @@ def test_report_norms_are_consistent():
     assert report.relative_residual == pytest.approx(
         np.linalg.norm(r) / denom, rel=1e-12)
     assert report.norm_is_frobenius
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_b_is_rejected(bad):
+    p = generate_problem(100, 8, 10.0, 1e-6, seed=1)
+    b = p.b.copy()
+    b[3] = bad
+    pre = build_preconditioner(p.a, seed=1)
+    solves = (
+        lambda: solve_qr_baseline(p.a, b),
+        lambda: solve_normal(p.a, b),
+        lambda: solve_seminormal(p.a, b),
+        lambda: solve_pne(p.a, b, pre),
+        lambda: solve_hpne(p.a, b, pre),
+        lambda: solve_notnormal(p.a, p.a, b),
+        lambda: algorithm1_pipeline(p.a, b),
+    )
+    for solve in solves:
+        with pytest.raises(ValueError, match="non-finite"):
+            solve()
