@@ -6,6 +6,8 @@ unit roundoffs collected in a BoundInputs record.  measure_bound_inputs
 fills the record from an actual problem/solution pair, using the LAPACK
 singular values of condition_diagnostics for every norm and condition
 number (never the bound being tested), so the sweep comparisons are honest.
+The solvers compute no diagnostics; measure_problem, run after a solve,
+is the one place that measures kappa(A), kappa(R_s) and kappa(A_p).
 
 Conventions: u1 is the roundoff of the preconditioner precision, u2 of the
 working precision; residual ratios are norm(residual) / (norm(matrix) *
@@ -21,7 +23,6 @@ import numpy as np
 
 from .dense import condition_diagnostics
 from .errors import MissingField, PoleAtOne
-from .solvers import precondition_matrix
 
 _U2_DEFAULT = 2.0 ** -52
 
@@ -182,6 +183,9 @@ def measure_problem(problem, pre=None, a_p=None):
         return ProblemDiagnostics(norm_a=diag_a.two_norm,
                                   kappa_a=diag_a.two_norm_condition)
     if a_p is None:
+        # imported here: solvers imports the bound formulas for its table
+        from .solvers import precondition_matrix
+
         a_p = precondition_matrix(problem.a, pre)
     diag_rs = condition_diagnostics(pre.r_s)
     diag_ap = condition_diagnostics(a_p)

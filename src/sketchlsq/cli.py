@@ -10,21 +10,16 @@ import os
 import sys
 
 from . import __version__
-from .bounds import bound_hpne, bound_pne, measure_bound_inputs
+from .bounds import measure_bound_inputs
 from .errors import SketchLsqError
 from .harness import SweepConfig, rho_grid, run_benchmark, run_sweep
 from .mmio import read_matrix
 from .probgen import generate_problem, load_problem, save_problem
 from .sketch import TRANSFORMS
-from .solvers import (
-    algorithm1_pipeline,
-    solve_normal,
-    solve_notnormal,
-    solve_qr_baseline,
-    solve_seminormal,
-)
+from .solvers import METHODS as METHOD_TABLE
+from .solvers import algorithm1_pipeline, solve_notnormal
 
-METHODS = ("qr", "ne", "pne", "hpne", "sne", "nne")
+METHODS = (*METHOD_TABLE, "nne")
 PRECISIONS = ("auto", "half", "single", "double")
 
 
@@ -67,7 +62,8 @@ def _build_parser():
     sweep.add_argument("--rho-max", type=float, default=1e-2)
     sweep.add_argument("--rho-points", type=int, default=11)
     sweep.add_argument("--methods", default="qr,pne,hpne",
-                       help="comma-separated subset of qr,ne,pne,hpne,sne")
+                       help="comma-separated subset of "
+                            + ",".join(METHOD_TABLE))
     sweep.add_argument("--precision", choices=PRECISIONS, default="double")
     sweep.add_argument("--d-factor", type=float, default=3.0)
     sweep.add_argument("--transform", choices=TRANSFORMS, default="dct2")
@@ -99,13 +95,8 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     problem = load_problem(args.problem)
-    if args.method == "qr":
-        report = solve_qr_baseline(problem.a, problem.b, problem.x_star)
-    elif args.method == "ne":
-        report = solve_normal(problem.a, problem.b, problem.x_star)
-    elif args.method == "sne":
-        report = solve_seminormal(problem.a, problem.b, problem.x_star)
-    elif args.method == "nne":
+    spec = METHOD_TABLE.get(args.method)
+    if spec is None:  # nne, the one method outside the table
         if not args.b_matrix:
             print("method nne requires --b-matrix", file=sys.stderr)
             return 2
@@ -115,10 +106,12 @@ def _cmd_solve(args):
             b_matrix = read_matrix(args.b_matrix)
         report = solve_notnormal(problem.a, b_matrix, problem.b,
                                  problem.x_star)
-    else:
+    elif spec.preconditioned:
         report = algorithm1_pipeline(
             problem.a, problem.b, args.method, args.precision,
             args.d_factor, args.transform, args.seed, problem.x_star)
+    else:
+        report = spec.solve(problem.a, problem.b, problem.x_star, None, None)
     print(f"method            {report.method}")
     print(f"shape             {problem.m} x {problem.n}")
     if report.precision_decision is not None:
@@ -127,24 +120,21 @@ def _cmd_solve(args):
               f"(overflowed={dec.overflowed})")
     if report.preconditioner is not None:
         pre = report.preconditioner
+        inputs = measure_bound_inputs(problem, report, pre)
         print(f"precision         {pre.computed_in.name}")
         if report.escalated_from is not None:
             print(f"escalated from    {report.escalated_from.name}")
-        print(f"kappa(R_s)        {pre.kappa_rs:.6g}")
-        print(f"kappa(A_p)        {pre.kappa_ap:.6g}")
+        print(f"kappa(R_s)        {inputs.kappa_rs:.6g}")
+        print(f"kappa(A_p)        {inputs.kappa_ap:.6g}")
+    if report.lu_fallback:
+        print("gram solve        LU (Cholesky failed)")
     print(f"residual norm     {report.residual_norm:.6e}")
     print(f"rel residual      {report.relative_residual:.6e}")
     if report.relative_error is not None:
         print(f"rel error vs x*   {report.relative_error:.6e}")
-    if report.method in ("pne", "hpne"):
-        inputs = measure_bound_inputs(problem, report,
-                                      report.preconditioner)
-        if report.method == "pne":
-            print(f"bound (old form)  {bound_pne(inputs, 'old'):.6e}")
-            print(f"bound (new form)  {bound_pne(inputs, 'new'):.6e}")
-        else:
-            print(f"bound (old form)  {bound_hpne(inputs, 'old'):.6e}")
-            print(f"bound (new form)  {bound_hpne(inputs, 'new'):.6e}")
+    if report.preconditioner is not None:
+        print(f"bound (old form)  {spec.bound(inputs, 'old'):.6e}")
+        print(f"bound (new form)  {spec.bound(inputs, 'new'):.6e}")
     print(f"wall ms           {report.wall_ms:.2f}")
     return 0
 

@@ -17,25 +17,21 @@ import numpy as np
 
 from . import rng
 from .bounds import (
-    bound_hpne,
     bound_ls,
     bound_ne_family,
-    bound_pne,
     measure_bound_inputs,
     measure_problem,
 )
 from .errors import SketchLsqError
-from .precision import decide_precision, level_from_name
+from .precision import level_from_name, resolve_precision
 from .probgen import generate_problem
 from .sketch import DCT2, TRANSFORMS
 from .solvers import (
+    METHODS,
     algorithm1_pipeline,
     prepare_preconditioner,
-    solve_hpne,
-    solve_normal,
-    solve_pne,
+    sketch_rows,
     solve_qr_baseline,
-    solve_seminormal,
 )
 
 CSV_COLUMNS = [
@@ -49,8 +45,6 @@ BENCH_COLUMNS = [
     "method", "m", "n", "kappa", "trials", "median_wall_ms", "rel_error",
     "speedup_vs_qr",
 ]
-
-SWEEP_METHODS = ("qr", "ne", "pne", "hpne", "sne")
 
 
 def rho_grid(rho_min, rho_max, points):
@@ -95,9 +89,9 @@ class SweepConfig:
             raise ValueError("rho values must be >= 0")
         self.methods = tuple(self.methods)
         for meth in self.methods:
-            if meth not in SWEEP_METHODS:
+            if meth not in METHODS:
                 raise ValueError(
-                    f"unknown sweep method {meth!r}, expected {SWEEP_METHODS}")
+                    f"unknown sweep method {meth!r}, expected {tuple(METHODS)}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if self.trials_per_point < 1:
@@ -106,6 +100,7 @@ class SweepConfig:
             raise ValueError(f"unknown transform {self.transform!r}")
         if self.precision != "auto":
             level_from_name(self.precision)  # validates the name
+        sketch_rows(self.d_factor, self.n)  # rejects a non-finite d_factor
 
 
 def _blank_row():
@@ -136,65 +131,47 @@ def _sweep_point(config, grid_index, rho, trial):
             rows.append(row)
         return rows
 
-    needs_pre = any(meth in ("pne", "hpne") for meth in config.methods)
     pre = a_p = None
     level_name = ""
     pre_error = None
-    if needs_pre:
+    if any(METHODS[method].preconditioned for method in config.methods):
         try:
-            if config.precision == "auto":
-                level = decide_precision(problem.a).selected
-            else:
-                level = level_from_name(config.precision)
-            pre, a_p, escalated = prepare_preconditioner(
+            level, _ = resolve_precision(problem.a, config.precision)
+            pre, a_p, _ = prepare_preconditioner(
                 problem.a, config.d_factor, config.transform, level, sub_seed)
             level_name = pre.computed_in.name
         except (SketchLsqError, ValueError) as exc:
             pre_error = exc
-            pre = a_p = None
 
     diagnostics = measure_problem(problem, pre, a_p)
-    d = int(math.ceil(config.d_factor * config.n))
+    d = sketch_rows(config.d_factor, config.n)
     rows = []
     for method in config.methods:
+        spec = METHODS[method]
         row = dict(base)
         row["method"] = method
-        uses_pre = method in ("pne", "hpne")
-        if uses_pre:
+        if spec.preconditioned:
             row["precision"] = level_name
             row["d"] = d
         try:
-            if uses_pre and pre_error is not None:
+            if spec.preconditioned and pre_error is not None:
                 raise pre_error
-            if method == "qr":
-                report = solve_qr_baseline(problem.a, problem.b, problem.x_star)
-            elif method == "ne":
-                report = solve_normal(problem.a, problem.b, problem.x_star)
-            elif method == "sne":
-                report = solve_seminormal(problem.a, problem.b, problem.x_star)
-            elif method == "pne":
-                report = solve_pne(problem.a, problem.b, pre,
-                                   x_star=problem.x_star, a_p=a_p)
-            else:
-                report = solve_hpne(problem.a, problem.b, pre,
-                                    x_star=problem.x_star, a_p=a_p)
+            report = spec.solve(problem.a, problem.b, problem.x_star, pre, a_p)
             inputs = measure_bound_inputs(
-                problem, report, pre if uses_pre else None,
-                a_p=a_p if uses_pre else None, diagnostics=diagnostics)
+                problem, report, pre if spec.preconditioned else None,
+                diagnostics=diagnostics)
             row["rel_error"] = report.relative_error
             row["rel_residual"] = inputs.res_ratio_a
             row["wall_ms"] = report.wall_ms
             row["bound_ls"] = bound_ls(inputs)
             row["bound_ne"] = bound_ne_family(inputs)
-            if uses_pre:
-                row["kappa_ap"] = pre.kappa_ap
-                row["kappa_rs"] = pre.kappa_rs
-            if method == "pne":
-                row["bound_pne_old"] = bound_pne(inputs, "old")
-                row["bound_pne_new"] = bound_pne(inputs, "new")
-            elif method == "hpne":
-                row["bound_hpne_old"] = bound_hpne(inputs, "old")
-                row["bound_hpne_new"] = bound_hpne(inputs, "new")
+            if spec.preconditioned:
+                row["kappa_ap"] = diagnostics.kappa_ap
+                row["kappa_rs"] = diagnostics.kappa_rs
+            if spec.bound is not None:
+                for variant in ("old", "new"):
+                    row[f"bound_{method}_{variant}"] = spec.bound(inputs,
+                                                                  variant)
         except (SketchLsqError, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

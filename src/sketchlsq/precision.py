@@ -275,3 +275,17 @@ def decide_precision(a):
         selected=select_precision(kappa0, overflowed),
         overflowed=overflowed,
     )
+
+
+def resolve_precision(a, precision):
+    """The preconditioner precision for a, as (level, decision).
+
+    precision is "auto" (decide_precision estimates kappa0 and decision is
+    its result), a precision name, or a PrecisionLevel (decision is None).
+    """
+    if isinstance(precision, PrecisionLevel):
+        return precision, None
+    if precision == "auto":
+        decision = decide_precision(a)
+        return decision.selected, decision
+    return level_from_name(precision), None

@@ -12,13 +12,14 @@ and the two-sided generalization B^T A x = B^T b round out the family.
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bound_hpne, bound_pne
 from .dense import (
     cholesky_solve,
-    condition_diagnostics,
     householder_qr,
     lu_solve,
     qr_r_factor,
@@ -35,10 +36,9 @@ from .precision import (
     BINARY64,
     PrecisionDecision,
     PrecisionLevel,
-    decide_precision,
-    level_from_name,
     next_higher,
     qr_in_precision,
+    resolve_precision,
     round_to_precision,
 )
 from .sketch import DCT2, apply_sketch, make_sketch
@@ -46,16 +46,16 @@ from .sketch import DCT2, apply_sketch, make_sketch
 
 @dataclass
 class Preconditioner:
-    """Promoted triangular preconditioner factor and its diagnostics.
+    """Promoted triangular preconditioner factor.
 
-    kappa_ap is None until precondition_matrix runs; sketch_descriptor
-    holds the four-field dict that reconstructs the sketch operator.
+    computed_in is the precision the sketch QR ran in; sketch_descriptor
+    holds the four-field dict that reconstructs the sketch operator.  The
+    condition numbers kappa(R_s) and kappa(A_p) are not part of the solve;
+    bounds.measure_problem measures them when a caller asks.
     """
 
     r_s: np.ndarray
     computed_in: PrecisionLevel
-    kappa_rs: float
-    kappa_ap: float | None = None
     sketch_descriptor: dict | None = None
 
 
@@ -68,7 +68,9 @@ class SolveReport:
     the bound machinery use the spectral norm instead, which they measure
     separately.  relative_error is None when no reference solution was
     supplied.  wall_ms covers the solver call, including preconditioner
-    construction when the solver built one itself.
+    construction when the solver built one itself.  lu_fallback is True
+    when pne's Cholesky factorization of the preconditioned Gram matrix
+    failed and LU solved that system instead.
     """
 
     method: str
@@ -82,9 +84,10 @@ class SolveReport:
     norm_is_frobenius: bool = True
     precision_decision: PrecisionDecision | None = None
     escalated_from: PrecisionLevel | None = None
+    lu_fallback: bool = False
 
 
-def _check_system(a, b):
+def _check_system(a, b, x_star=None):
     a = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
@@ -95,17 +98,26 @@ def _check_system(a, b):
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"b length {b.shape[0]} != rows {a.shape[0]}")
-    return a.astype(np.float64), b
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=np.float64)
+        if x_star.shape != (a.shape[1],):
+            raise DimensionMismatch(
+                f"x_star shape {x_star.shape} != ({a.shape[1]},)")
+        if not (np.isfinite(x_star).all() and x_star.any()):
+            raise ValueError("x_star must be finite and nonzero")
+    return a.astype(np.float64), b, x_star
 
 
-def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None):
+def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
+            lu_fallback=False):
+    if not np.isfinite(x_hat).all():
+        raise Overflow(f"{method} solution has non-finite entries")
     r = a @ x_hat - b
     residual_norm = float(np.linalg.norm(r))
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(x_hat))
     relative_residual = residual_norm / denom if denom > 0 else math.inf
     relative_error = None
     if x_star is not None:
-        x_star = np.asarray(x_star, dtype=np.float64)
         relative_error = float(np.linalg.norm(x_hat - x_star)
                                / np.linalg.norm(x_star))
     return SolveReport(
@@ -116,12 +128,13 @@ def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None):
         relative_error=relative_error,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         preconditioner=preconditioner,
+        lu_fallback=lu_fallback,
     )
 
 
 def solve_qr_baseline(a, b, x_star=None):
     """Reference dense solve: LAPACK thin QR, then back substitution."""
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     factors = householder_qr(a)
     x = triangular_solve(factors.r, factors.q.T @ b)
@@ -134,7 +147,7 @@ def solve_normal(a, b, x_star=None):
     Raises NotPositiveDefinite when the Gram matrix loses definiteness to
     rounding, which happens once the condition number nears 1e8.
     """
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     x = cholesky_solve(a.T @ a, a.T @ b)
     return _report("ne", a, b, x, t0, x_star)
@@ -142,7 +155,7 @@ def solve_normal(a, b, x_star=None):
 
 def solve_seminormal(a, b, x_star=None):
     """Seminormal equations r^T r x = a^T b using only the R factor of a."""
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     r = qr_r_factor(a)
     y = triangular_solve(r, a.T @ b, transposed=True)
@@ -157,7 +170,7 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
     the normal equations, taking b_matrix = A_p recovers the
     half-preconditioned system.
     """
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     b_matrix = _as_matrix(b_matrix, "b_matrix").astype(np.float64)
     if b_matrix.shape != a.shape:
         raise DimensionMismatch(
@@ -165,6 +178,14 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
     t0 = time.perf_counter()
     x = lu_solve(b_matrix.T @ a, b_matrix.T @ b)
     return _report("nne", a, b, x, t0, x_star)
+
+
+def sketch_rows(d_factor, n):
+    """Row count d = ceil(d_factor * n) of the sketch of an m x n matrix."""
+    size = d_factor * n
+    if not math.isfinite(size):
+        raise ValueError(f"d_factor must be finite, got {d_factor}")
+    return int(math.ceil(size))
 
 
 def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0):
@@ -187,7 +208,7 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     m, n = a.shape
     if m < n:
         raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
-    d = int(math.ceil(d_factor * n))
+    d = sketch_rows(d_factor, n)
     if d < n:
         raise ValueError(f"d_factor {d_factor} gives d={d} < n={n}")
     rounded = round_to_precision(a, level)
@@ -199,22 +220,19 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     r_s = factors.r
     if (np.diagonal(r_s) == 0).any():
         raise RankDeficient("sketched factor has a zero diagonal entry")
-    kappa_rs = condition_diagnostics(r_s).two_norm_condition
-    return Preconditioner(r_s=r_s, computed_in=level, kappa_rs=kappa_rs,
+    return Preconditioner(r_s=r_s, computed_in=level,
                           sketch_descriptor=op.descriptor())
 
 
 def precondition_matrix(a, pre):
-    """Form A_p = a @ r_s^{-1} by triangular solves and record kappa(A_p).
+    """Form A_p = a @ r_s^{-1} by triangular solves.
 
-    Fills pre.kappa_ap as a side effect.  All arithmetic is binary64
-    regardless of the precision the factor was computed in.
+    pre is left unchanged.  All arithmetic is binary64 regardless of the
+    precision the factor was computed in.
     """
     a = _as_matrix(a).astype(np.float64)
     xt = triangular_solve(pre.r_s, a.T, transposed=True)
-    a_p = np.ascontiguousarray(xt.T)
-    pre.kappa_ap = condition_diagnostics(a_p).two_norm_condition
-    return a_p
+    return np.ascontiguousarray(xt.T)
 
 
 def solve_pne(a, b, pre, x_star=None, a_p=None):
@@ -225,7 +243,7 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
     x from R_s x = y.  Pass a_p to reuse a previously formed
     preconditioned matrix; otherwise it is formed here.
     """
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     if a_p is None:
         a_p = precondition_matrix(a, pre)
@@ -233,10 +251,13 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
     rhs = a_p.T @ b
     try:
         y = cholesky_solve(g, rhs)
+        lu_fallback = False
     except NotPositiveDefinite:
         y = lu_solve(g, rhs)
+        lu_fallback = True
     x = triangular_solve(pre.r_s, y)
-    return _report("pne", a, b, x, t0, x_star, preconditioner=pre)
+    return _report("pne", a, b, x, t0, x_star, preconditioner=pre,
+                   lu_fallback=lu_fallback)
 
 
 def solve_hpne(a, b, pre, x_star=None, a_p=None):
@@ -246,7 +267,7 @@ def solve_hpne(a, b, pre, x_star=None, a_p=None):
     partial pivoting; no triangular recovery step is needed since the
     unknowns are already x.
     """
-    a, b = _check_system(a, b)
+    a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     if a_p is None:
         a_p = precondition_matrix(a, pre)
@@ -293,7 +314,7 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
 
     Parameters
     ----------
-    method : one of "pne", "hpne"
+    method : a preconditioned method of METHODS ("pne" or "hpne")
     precision : "auto", a precision name, or a PrecisionLevel
 
     Returns
@@ -302,25 +323,49 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
         wall_ms covers the full pipeline: estimate, sketch, factor,
         precondition, solve.
     """
-    a, b = _check_system(a, b)
-    if method not in ("pne", "hpne"):
-        raise ValueError(f"pipeline method must be pne or hpne, got {method!r}")
+    a, b, x_star = _check_system(a, b, x_star)
+    spec = METHODS.get(method)
+    if spec is None or not spec.preconditioned:
+        raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
-    decision = None
-    if isinstance(precision, PrecisionLevel):
-        level = precision
-    elif precision == "auto":
-        decision = decide_precision(a)
-        level = decision.selected
-    else:
-        level = level_from_name(precision)
+    level, decision = resolve_precision(a, precision)
     pre, a_p, escalated_from = prepare_preconditioner(
         a, d_factor, transform, level, seed)
-    if method == "pne":
-        report = solve_pne(a, b, pre, x_star=x_star, a_p=a_p)
-    else:
-        report = solve_hpne(a, b, pre, x_star=x_star, a_p=a_p)
+    report = spec.solve(a, b, x_star, pre, a_p)
     report.precision_decision = decision
     report.escalated_from = escalated_from
     report.wall_ms = (time.perf_counter() - t0) * 1e3
     return report
+
+
+@dataclass(frozen=True)
+class Method:
+    """One entry of the method table shared by the pipeline, CLI and sweep.
+
+    solve(a, b, x_star, pre, a_p) returns a SolveReport; only preconditioned
+    methods read pre and a_p.  bound(inputs, variant), when set, is the
+    method's own error bound, filling the sweep's bound_<name>_old/new.
+    """
+
+    solve: Callable
+    preconditioned: bool = False
+    bound: Callable | None = None
+
+
+# Entries call through this module's names, so a wrapper installed on one
+# (a profiler's, say) sees the call.  nne is left out: it needs a matrix B.
+METHODS = {
+    "qr": Method(lambda a, b, x_star, pre, a_p:
+                 solve_qr_baseline(a, b, x_star)),
+    "ne": Method(lambda a, b, x_star, pre, a_p: solve_normal(a, b, x_star)),
+    "pne": Method(lambda a, b, x_star, pre, a_p:
+                  solve_pne(a, b, pre, x_star=x_star, a_p=a_p),
+                  preconditioned=True,
+                  bound=lambda inputs, variant: bound_pne(inputs, variant)),
+    "hpne": Method(lambda a, b, x_star, pre, a_p:
+                   solve_hpne(a, b, pre, x_star=x_star, a_p=a_p),
+                   preconditioned=True,
+                   bound=lambda inputs, variant: bound_hpne(inputs, variant)),
+    "sne": Method(lambda a, b, x_star, pre, a_p:
+                  solve_seminormal(a, b, x_star)),
+}

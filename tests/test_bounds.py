@@ -16,6 +16,7 @@ from sketchlsq import (
     bound_notnormal,
     bound_pne,
     build_preconditioner,
+    condition_diagnostics,
     eta1,
     generate_problem,
     measure_bound_inputs,
@@ -126,8 +127,10 @@ def test_measured_inputs_satisfy_norm_identities():
                 assert inputs.nu_hpne >= 1.0 - 1e-12
             assert inputs.res_ratio_a >= 0.0
             assert inputs.u1 == U52 and inputs.u2 == U52
-            assert inputs.kappa_rs == pre.kappa_rs
-            assert inputs.kappa_ap == pre.kappa_ap
+            assert inputs.kappa_rs == condition_diagnostics(
+                pre.r_s).two_norm_condition
+            assert inputs.kappa_ap == condition_diagnostics(
+                a_p).two_norm_condition
 
 
 def test_measured_u1_follows_preconditioner_precision():

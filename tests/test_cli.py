@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from sketchlsq import generate_problem, load_problem, save_problem
+from sketchlsq import NotPositiveDefinite, load_problem, solvers
 from sketchlsq.cli import main
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS
 from sketchlsq.mmio import read_matrix, write_matrix
@@ -65,6 +65,13 @@ def test_invalid_arguments_exit_two(tmp_path):
     assert main(["solve", "--problem", str(tmp_path / "missing")]) == 2
     assert main(["gen", "--m", "10", "--n", "20",
                  "--out", str(tmp_path / "bad")]) == 2
+    path = _gen(tmp_path)
+    for d_factor in ("inf", "nan", "1e308"):
+        assert main(["solve", "--problem", str(path),
+                     "--d-factor", d_factor]) == 2
+        assert main(["sweep", "--m", "150", "--n", "10", "--rho-points", "1",
+                     "--d-factor", d_factor,
+                     "--csv", str(tmp_path / "s.csv")]) == 2
 
 
 def test_non_finite_b_exits_two(tmp_path, capsys):
@@ -75,6 +82,44 @@ def test_non_finite_b_exits_two(tmp_path, capsys):
     for method in ("qr", "pne", "hpne"):
         assert main(["solve", "--problem", str(path), "--method", method]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["zero", "nan"])
+def test_bad_x_star_exits_two(tmp_path, capsys, bad):
+    path = _gen(tmp_path)
+    x_star = load_problem(path).x_star
+    if bad == "zero":
+        x_star[:] = 0.0
+    else:
+        x_star[1] = np.nan
+    write_matrix(path / "xstar.mtx", x_star)
+    for method in ("qr", "pne", "hpne"):
+        assert main(["solve", "--problem", str(path), "--method", method]) == 2
+    assert "x_star" in capsys.readouterr().err
+
+
+def test_solve_prints_cholesky_to_lu_fallback(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path)
+    assert main(["solve", "--problem", str(path), "--method", "pne"]) == 0
+    assert "Cholesky failed" not in capsys.readouterr().out
+
+    def indefinite(*args):
+        raise NotPositiveDefinite("forced")
+
+    monkeypatch.setattr(solvers, "cholesky_solve", indefinite)
+    assert main(["solve", "--problem", str(path), "--method", "pne"]) == 0
+    assert "gram solve        LU (Cholesky failed)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+def test_non_finite_solution_exits_three(tmp_path, capsys):
+    # A^T b overflows binary64 once A and b are scaled by 1e200
+    path = _gen(tmp_path)
+    p = load_problem(path)
+    write_matrix(path / "A.mtx", p.a * 1e200)
+    write_matrix(path / "b.mtx", p.b * 1e200)
+    assert main(["solve", "--problem", str(path), "--method", "sne"]) == 3
+    assert "Overflow" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -5,7 +5,17 @@ import csv
 import numpy as np
 import pytest
 
-from sketchlsq import SweepConfig, rho_grid, run_benchmark, run_sweep
+from sketchlsq import (
+    BINARY64,
+    SweepConfig,
+    build_preconditioner,
+    condition_diagnostics,
+    generate_problem,
+    precondition_matrix,
+    rho_grid,
+    run_benchmark,
+    run_sweep,
+)
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
 
 
@@ -36,6 +46,9 @@ def test_sweep_config_validation():
         _small_config(trials_per_point=0)
     with pytest.raises(ValueError):
         _small_config(rho_grid=np.array([1e-2, 1e-8]))
+    for d_factor in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="d_factor must be finite"):
+            _small_config(d_factor=d_factor)
 
 
 def test_sweep_row_count_and_schema():
@@ -68,6 +81,23 @@ def test_sweep_bounds_attached_per_method():
             assert row["bound_hpne_new"] == ""
             assert row["precision"] == ""
             assert row["d"] == ""
+
+
+def test_sweep_kappa_columns_measure_its_preconditioner():
+    """kappa_rs and kappa_ap are the condition numbers of the R_s and A_p
+    that the row's solve used, rebuilt here from the row's seed."""
+    cfg = _small_config(trials_per_point=1)
+    for row in run_sweep(cfg):
+        if row["method"] not in ("pne", "hpne"):
+            continue
+        p = generate_problem(cfg.m, cfg.n, cfg.kappa, row["rho"], row["seed"])
+        pre = build_preconditioner(p.a, cfg.d_factor, cfg.transform,
+                                   BINARY64, row["seed"])
+        a_p = precondition_matrix(p.a, pre)
+        assert row["kappa_rs"] == condition_diagnostics(
+            pre.r_s).two_norm_condition
+        assert row["kappa_ap"] == condition_diagnostics(
+            a_p).two_norm_condition
 
 
 def test_sweep_is_deterministic_up_to_timing():

@@ -9,9 +9,11 @@ from sketchlsq import (
     BINARY64,
     DimensionMismatch,
     NotPositiveDefinite,
+    Overflow,
     Preconditioner,
     algorithm1_pipeline,
     build_preconditioner,
+    condition_diagnostics,
     generate_problem,
     householder_qr,
     precondition_matrix,
@@ -22,6 +24,7 @@ from sketchlsq import (
     solve_qr_baseline,
     solve_seminormal,
 )
+from sketchlsq import dense, solvers
 
 
 def test_qr_baseline_recovers_planted_solution():
@@ -60,7 +63,7 @@ def test_identity_preconditioner_reduces_pne_to_ne():
     """With R_s = I the preconditioned matrix is A itself and the PNE
     solve runs the exact same arithmetic as the normal equations."""
     p = generate_problem(250, 18, 1e2, 1e-6, seed=7)
-    pre = Preconditioner(r_s=np.eye(p.n), computed_in=BINARY64, kappa_rs=1.0)
+    pre = Preconditioner(r_s=np.eye(p.n), computed_in=BINARY64)
     a_p = precondition_matrix(p.a, pre)
     assert np.array_equal(a_p, p.a)
     x_pne = solve_pne(p.a, p.b, pre, a_p=a_p).x_hat
@@ -92,9 +95,9 @@ def test_exact_qr_preconditioner_is_idempotent():
     for seed in range(4):
         p = generate_problem(300, 24, 1e6, 0.0, seed=seed)
         r = householder_qr(p.a).r
-        pre = Preconditioner(r_s=r, computed_in=BINARY64, kappa_rs=1e6)
-        precondition_matrix(p.a, pre)
-        assert pre.kappa_ap <= 1.0 + 1e-6
+        pre = Preconditioner(r_s=r, computed_in=BINARY64)
+        a_p = precondition_matrix(p.a, pre)
+        assert condition_diagnostics(a_p).two_norm_condition <= 1.0 + 1e-6
 
 
 def test_preconditioner_quality_at_default_sample_factor():
@@ -102,9 +105,10 @@ def test_preconditioner_quality_at_default_sample_factor():
         p = generate_problem(1024, 32, 1e6, 0.0, seed=seed)
         pre = build_preconditioner(p.a, seed=seed)
         assert pre.r_s.shape == (32, 32)
-        precondition_matrix(p.a, pre)
-        assert pre.kappa_ap <= 10.0
-        assert pre.kappa_rs == pytest.approx(1e6, rel=0.7)
+        a_p = precondition_matrix(p.a, pre)
+        assert condition_diagnostics(a_p).two_norm_condition <= 10.0
+        assert condition_diagnostics(pre.r_s).two_norm_condition == (
+            pytest.approx(1e6, rel=0.7))
         assert pre.computed_in is BINARY64
         assert pre.sketch_descriptor is not None
 
@@ -196,3 +200,80 @@ def test_non_finite_b_is_rejected(bad):
     for solve in solves:
         with pytest.raises(ValueError, match="non-finite"):
             solve()
+
+
+@pytest.mark.parametrize("x_star, error", [
+    ("zero", ValueError), (np.nan, ValueError), (np.inf, ValueError),
+    ("short", DimensionMismatch)])
+def test_bad_x_star_is_rejected(x_star, error):
+    p = generate_problem(100, 8, 10.0, 1e-6, seed=1)
+    if x_star == "zero":
+        bad = np.zeros(p.n)
+    elif x_star == "short":
+        bad = p.x_star[:1]
+    else:
+        bad = p.x_star.copy()
+        bad[2] = x_star
+    pre = build_preconditioner(p.a, seed=1)
+    solves = (
+        lambda: solve_qr_baseline(p.a, p.b, bad),
+        lambda: solve_normal(p.a, p.b, bad),
+        lambda: solve_seminormal(p.a, p.b, bad),
+        lambda: solve_pne(p.a, p.b, pre, x_star=bad),
+        lambda: solve_hpne(p.a, p.b, pre, x_star=bad),
+        lambda: solve_notnormal(p.a, p.a, p.b, bad),
+        lambda: algorithm1_pipeline(p.a, p.b, x_star=bad),
+    )
+    for solve in solves:
+        with pytest.raises(error, match="x_star"):
+            solve()
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+def test_non_finite_solution_raises_overflow():
+    # A^T b overflows binary64 at this scale, so sne's x_hat is all NaN
+    p = generate_problem(100, 8, 10.0, 1e-6, seed=2)
+    with pytest.raises(Overflow, match="non-finite"):
+        solve_seminormal(p.a * 1e200, p.b * 1e200)
+
+
+def test_pne_records_cholesky_to_lu_fallback(monkeypatch):
+    p = generate_problem(300, 20, 1e3, 1e-6, seed=3)
+    pre = build_preconditioner(p.a, seed=3)
+    assert not solve_pne(p.a, p.b, pre).lu_fallback
+
+    def indefinite(*args):
+        raise NotPositiveDefinite("forced")
+
+    monkeypatch.setattr(solvers, "cholesky_solve", indefinite)
+    report = solve_pne(p.a, p.b, pre, x_star=p.x_star)
+    assert report.lu_fallback
+    assert report.relative_error <= 1e-10
+    assert not solve_hpne(p.a, p.b, pre).lu_fallback
+
+
+@pytest.mark.parametrize("d_factor", [np.inf, np.nan, 1e308])
+def test_non_finite_d_factor_is_rejected(d_factor):
+    p = generate_problem(100, 8, 10.0, 1e-6, seed=4)
+    with pytest.raises(ValueError, match="d_factor must be finite"):
+        build_preconditioner(p.a, d_factor=d_factor)
+
+
+def test_pipeline_takes_no_singular_values(monkeypatch):
+    """The solve path computes no condition diagnostics: with the LAPACK
+    SVD behind condition_diagnostics disabled, both preconditioned methods
+    still solve at every automatically chosen precision."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svdvals called during a solve")
+
+    monkeypatch.setattr(dense, "svdvals", no_svd)
+    for kappa, level in ((1e2, BINARY16), (1e6, BINARY32), (1e10, BINARY64)):
+        p = generate_problem(600, 40, kappa, 1e-8, seed=5)
+        for method in ("pne", "hpne"):
+            report = algorithm1_pipeline(p.a, p.b, method=method,
+                                         precision="auto", seed=5,
+                                         x_star=p.x_star)
+            assert report.preconditioner.computed_in is level
+            assert np.isfinite(report.x_hat).all()
+    with pytest.raises(AssertionError, match="svdvals"):
+        condition_diagnostics(p.a)
