@@ -23,10 +23,12 @@ from .dense import (
     hager_one_norm_inverse_estimate,
     householder_qr,
     householder_reduce,
+    qr_r_factor,
     triangular_solve,
     _as_matrix,
+    _tall_matrix,
 )
-from .errors import DimensionMismatch, NotPositiveDefinite, Overflow, RankDeficient
+from .errors import NotPositiveDefinite, Overflow, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -150,43 +152,13 @@ class _HalfOps:
 HALF_OPS = _HalfOps()
 
 
-def qr_in_precision(a, level):
-    """Householder QR with all arithmetic performed in the given precision.
+_HALF_OVERFLOW = "binary16 computation produced non-finite values"
 
-    Returns factors promoted to binary64 storage; every value is the exact
-    promotion of the precision-level result.  binary32 runs LAPACK sgeqrf
-    on the rounded input.  The binary16 path pre-scales
-    the input by an exact power of two so the largest entry sits in
-    [0.5, 1), runs the emulated float16 kernel, and un-scales the
-    triangular factor after promotion (the un-scaled factor itself may
-    exceed the binary16 range, which is why un-scaling waits until after
-    promotion).
 
-    qr_in_precision(a, binary64) delegates to householder_qr and is
-    bit-identical to it.
-
-    Raises
-    ------
-    RankDeficient
-        If a pivot column vanishes at the working precision.
-    Overflow
-        If demotion overflows or the emulated computation produces
-        non-finite values despite the pre-scaling.
-    """
-    a = _as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
-    if level.name == "binary64":
-        return householder_qr(a.astype(np.float64))
-    if level.name == "binary32":
-        rounded = round_to_precision(a, level)
-        if rounded.overflowed:
-            raise Overflow("input exceeds the binary32 range")
-        factors = householder_qr(rounded.data)
-        return QRFactors(q=factors.q.astype(np.float64),
-                         r=factors.r.astype(np.float64))
-    # binary16: exact power-of-two pre-scaling keeps the kernel in range
+def _reduce_half(a):
+    # Exact power-of-two pre-scaling puts the largest entry in [0.5, 1) and
+    # keeps the emulated kernel in range.  R is un-scaled after promotion,
+    # since the un-scaled factor itself may exceed the binary16 range.
     work = a.astype(np.float64)
     maxabs = float(np.abs(work).max())
     if maxabs == 0:
@@ -196,11 +168,76 @@ def qr_in_precision(a, level):
     rounded = round_to_precision(work * scale, BINARY16)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         reflectors, taus, r16 = householder_reduce(rounded.data, HALF_OPS)
-        q16 = accumulate_thin_q(reflectors, taus, m, n, ops=HALF_OPS,
+    if not np.isfinite(r16).all():
+        raise Overflow(_HALF_OVERFLOW)
+    return reflectors, taus, r16.astype(np.float64) / scale
+
+
+def _lapack_input(a, level):
+    # binary32/64 factor the input rounded to the level, in its dtype
+    if level.name == "binary64":
+        return a.astype(np.float64)
+    rounded = round_to_precision(a, level)
+    if rounded.overflowed:
+        raise Overflow(f"input exceeds the {level.name} range")
+    return rounded.data
+
+
+def qr_in_precision(a, level):
+    """Householder QR with all arithmetic performed in the given precision.
+
+    Returns factors promoted to binary64 storage; every value is the exact
+    promotion of the precision-level result.  binary32 runs LAPACK sgeqrf
+    on the rounded input.  The binary16 path is r_in_precision's emulated
+    reduction followed by the emulated accumulation of the thin Q.
+
+    qr_in_precision(a, binary64) delegates to householder_qr and is
+    bit-identical to it.  The preconditioner needs only R and takes it
+    from r_in_precision, which gives this R bit for bit without forming Q.
+
+    Raises
+    ------
+    RankDeficient
+        If a pivot column vanishes at the working precision.
+    Overflow
+        If demotion overflows or the emulated computation produces
+        non-finite values despite the pre-scaling.
+    """
+    a = _tall_matrix(a)
+    if level.name != "binary16":
+        factors = householder_qr(_lapack_input(a, level))
+        return QRFactors(q=factors.q.astype(np.float64, copy=False),
+                         r=factors.r.astype(np.float64, copy=False))
+    reflectors, taus, r = _reduce_half(a)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        q16 = accumulate_thin_q(reflectors, taus, *a.shape, ops=HALF_OPS,
                                 dtype=np.float16)
-    if not (np.isfinite(q16).all() and np.isfinite(r16).all()):
-        raise Overflow("binary16 computation produced non-finite values")
-    return QRFactors(q=q16.astype(np.float64), r=r16.astype(np.float64) / scale)
+    if not np.isfinite(q16).all():
+        raise Overflow(_HALF_OVERFLOW)
+    return QRFactors(q=q16.astype(np.float64), r=r)
+
+
+def r_in_precision(a, level):
+    """Triangular factor of qr_in_precision(a, level), bit for bit, alone.
+
+    binary32/64 run LAPACK geqrf in mode "r" on the rounded input.  The
+    binary16 path pre-scales the input by an exact power of two so the
+    largest entry sits in [0.5, 1), runs the emulated float16 Householder
+    reduction without forming Q, and un-scales R after promotion to
+    binary64.
+
+    Raises
+    ------
+    RankDeficient
+        If a pivot column vanishes at the working precision.
+    Overflow
+        If demotion overflows or the emulated computation produces
+        non-finite values despite the pre-scaling.
+    """
+    a = _tall_matrix(a)
+    if level.name == "binary16":
+        return _reduce_half(a)[2]
+    return qr_r_factor(_lapack_input(a, level)).astype(np.float64, copy=False)
 
 
 def estimate_log10_condition(a):

@@ -118,21 +118,50 @@ def sketch_from_descriptor(desc):
                        int(desc["seed"]))
 
 
-def _wht_inplace(x):
-    # Iterative radix-2 butterflies; every add/sub is one rounded
-    # elementwise operation in the dtype of x, then one normalizing
-    # multiply, so float16 input is per-operation float16 throughout.
+def _wht_rows(x, m, rows):
+    """Rows `rows` of the orthonormal Walsh-Hadamard transform of x.
+
+    x has a power-of-two row count, and its rows from m on are +0 (the
+    padding); x is overwritten.  The radix-2 butterflies are the full
+    transform's: every add/sub is one rounded elementwise operation in the
+    dtype of x, then one normalizing multiply, so float16 input is
+    per-operation float16 throughout and each returned row is bitwise the
+    full transform's.  Two kinds of butterfly are skipped.  Blocks wholly
+    in the padding would only add zeros, so they are left at +0.  In the
+    last levels, where the requested rows depend on at most a quarter of
+    all rows, only the butterflies those rows read are computed.
+    """
     n = x.shape[0]
-    h = 1
-    while h < n:
-        blocks = x.reshape(-1, 2, h, *x.shape[1:])
-        top = blocks[:, 0].copy()
-        bot = blocks[:, 1].copy()
-        blocks[:, 0] = top + bot
-        blocks[:, 1] = top - bot
-        h *= 2
-    x *= x.dtype.type(1.0 / math.sqrt(n))
-    return x
+    # Needed butterflies of the last levels, from the output back: output
+    # row i of the level with span h reads rows i & ~h and i | h.
+    sparse = []
+    need = np.unique(rows)
+    h = n // 2
+    while h >= 1:
+        tops = np.unique(need & ~h)
+        if 8 * tops.size > n:
+            break
+        sparse.append((h, tops))
+        need = np.concatenate([tops, tops | h])
+        h //= 2
+    # Dense levels span 1 .. h, alternating between x and a second buffer.
+    # Rows no level has written stay +0 in both.
+    y = np.zeros_like(x)
+    span = 1
+    while span <= h:
+        live = -(-m // (2 * span)) * 2 * span
+        src = x[:live].reshape(-1, 2, span, *x.shape[1:])
+        dst = y[:live].reshape(-1, 2, span, *x.shape[1:])
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        x, y = y, x
+        span *= 2
+    for h, tops in reversed(sparse):
+        top = x[tops]
+        bot = x[tops | h]
+        x[tops] = top + bot
+        x[tops | h] = top - bot
+    return x[rows] * x.dtype.type(1.0 / math.sqrt(n))
 
 
 def apply_sketch(op, a):
@@ -141,7 +170,10 @@ def apply_sketch(op, a):
     All arithmetic happens in the dtype of a, with one exception: the
     DCT-II of float16 input is computed in float32 and rounded back to
     float16 (no per-operation half-precision DCT is available), while the
-    Walsh-Hadamard path is per-operation float16 end to end.
+    Walsh-Hadamard path is per-operation float16 end to end.  The
+    Walsh-Hadamard path computes only the butterflies the d sampled rows
+    read, bit-identical to sampling the full transform; the DCT-II is
+    computed in full and then sampled.  Only the sampled rows are scaled.
 
     Raises
     ------
@@ -159,14 +191,13 @@ def apply_sketch(op, a):
             work = np.zeros((op.m_pad, a.shape[1]), dtype=dtype)
             work[:op.m] = a * op.signs[:op.m, None].astype(dtype)
         if op.transform == WHT:
-            work = _wht_inplace(work)
+            sampled = _wht_rows(work, op.m, op.sampled_rows)
         elif dtype == np.float16:
-            work = dct(work.astype(np.float32), type=2, axis=0,
-                       norm="ortho").astype(np.float16)
+            sampled = dct(work.astype(np.float32), type=2, axis=0,
+                          norm="ortho").astype(np.float16)[op.sampled_rows]
         else:
-            work = dct(work, type=2, axis=0, norm="ortho")
-        scale = dtype.type(math.sqrt(op.m_pad / op.d))
-        return work[op.sampled_rows] * scale
+            sampled = dct(work, type=2, axis=0, norm="ortho")[op.sampled_rows]
+        return sampled * dtype.type(math.sqrt(op.m_pad / op.d))
 
 
 def sample_size_lower_bound(params):

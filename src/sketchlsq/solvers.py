@@ -37,7 +37,7 @@ from .precision import (
     PrecisionDecision,
     PrecisionLevel,
     next_higher,
-    qr_in_precision,
+    r_in_precision,
     resolve_precision,
     round_to_precision,
 )
@@ -66,7 +66,8 @@ class SolveReport:
     relative_residual here uses the Frobenius norm of A in the
     denominator (norm_is_frobenius records this); the sweep harness and
     the bound machinery use the spectral norm instead, which they measure
-    separately.  relative_error is None when no reference solution was
+    separately.  relative_residual is 0.0 whenever the residual is exactly
+    zero, as for b = 0.  relative_error is None when no reference solution was
     supplied.  wall_ms covers the solver call, including preconditioner
     construction when the solver built one itself.  lu_fallback is True
     when pne's Cholesky factorization of the preconditioned Gram matrix
@@ -108,6 +109,13 @@ def _check_system(a, b, x_star=None):
     return a.astype(np.float64), b, x_star
 
 
+def _silent_overflow():
+    # A solve that leaves range yields non-finite values, which _report or
+    # a kernel's input check then rejects; numpy's warnings about the same
+    # values on stderr would only be noise.
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
             lu_fallback=False):
     if not np.isfinite(x_hat).all():
@@ -115,7 +123,10 @@ def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
     r = a @ x_hat - b
     residual_norm = float(np.linalg.norm(r))
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(x_hat))
-    relative_residual = residual_norm / denom if denom > 0 else math.inf
+    if residual_norm == 0:
+        relative_residual = 0.0
+    else:
+        relative_residual = residual_norm / denom if denom > 0 else math.inf
     relative_error = None
     if x_star is not None:
         relative_error = float(np.linalg.norm(x_hat - x_star)
@@ -136,8 +147,9 @@ def solve_qr_baseline(a, b, x_star=None):
     """Reference dense solve: LAPACK thin QR, then back substitution."""
     a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
-    factors = householder_qr(a)
-    x = triangular_solve(factors.r, factors.q.T @ b)
+    with _silent_overflow():
+        factors = householder_qr(a)
+        x = triangular_solve(factors.r, factors.q.T @ b)
     return _report("qr", a, b, x, t0, x_star)
 
 
@@ -149,7 +161,8 @@ def solve_normal(a, b, x_star=None):
     """
     a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
-    x = cholesky_solve(a.T @ a, a.T @ b)
+    with _silent_overflow():
+        x = cholesky_solve(a.T @ a, a.T @ b)
     return _report("ne", a, b, x, t0, x_star)
 
 
@@ -157,9 +170,10 @@ def solve_seminormal(a, b, x_star=None):
     """Seminormal equations r^T r x = a^T b using only the R factor of a."""
     a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
-    r = qr_r_factor(a)
-    y = triangular_solve(r, a.T @ b, transposed=True)
-    x = triangular_solve(r, y)
+    with _silent_overflow():
+        r = qr_r_factor(a)
+        y = triangular_solve(r, a.T @ b, transposed=True)
+        x = triangular_solve(r, y)
     return _report("sne", a, b, x, t0, x_star)
 
 
@@ -176,7 +190,8 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
         raise DimensionMismatch(
             f"b_matrix shape {b_matrix.shape} != a shape {a.shape}")
     t0 = time.perf_counter()
-    x = lu_solve(b_matrix.T @ a, b_matrix.T @ b)
+    with _silent_overflow():
+        x = lu_solve(b_matrix.T @ a, b_matrix.T @ b)
     return _report("nne", a, b, x, t0, x_star)
 
 
@@ -193,13 +208,15 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
 
     The input is demoted to the working precision before sketching, the
     sketch itself runs in that precision, and the QR of the d x n sketch
-    runs with every operation rounded to it.  The returned triangular
-    factor is the exact binary64 promotion of the low-precision result.
+    runs with every operation rounded to it.  Only what the solve reads
+    is computed: the sketch's d sampled rows and the triangular factor
+    (r_in_precision, which never forms Q).  The returned factor is the
+    exact binary64 promotion of the low-precision result.
 
     Raises
     ------
     Overflow
-        If demotion or the low-precision computation leaves range.
+        If demotion, the sketch or the QR leaves the working range.
     RankDeficient
         If the sketched matrix loses column rank at the working precision
         (including a zero diagonal surviving to the promoted factor).
@@ -216,8 +233,9 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
         raise Overflow(f"input exceeds the {level.name} range")
     op = make_sketch(m, d, transform, seed)
     a_s = apply_sketch(op, rounded.data)
-    factors = qr_in_precision(a_s, level)
-    r_s = factors.r
+    if not np.isfinite(a_s).all():
+        raise Overflow(f"sketch exceeds the {level.name} range")
+    r_s = r_in_precision(a_s, level)
     if (np.diagonal(r_s) == 0).any():
         raise RankDeficient("sketched factor has a zero diagonal entry")
     return Preconditioner(r_s=r_s, computed_in=level,
@@ -247,15 +265,16 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
     t0 = time.perf_counter()
     if a_p is None:
         a_p = precondition_matrix(a, pre)
-    g = a_p.T @ a_p
-    rhs = a_p.T @ b
-    try:
-        y = cholesky_solve(g, rhs)
-        lu_fallback = False
-    except NotPositiveDefinite:
-        y = lu_solve(g, rhs)
-        lu_fallback = True
-    x = triangular_solve(pre.r_s, y)
+    with _silent_overflow():
+        g = a_p.T @ a_p
+        rhs = a_p.T @ b
+        try:
+            y = cholesky_solve(g, rhs)
+            lu_fallback = False
+        except NotPositiveDefinite:
+            y = lu_solve(g, rhs)
+            lu_fallback = True
+        x = triangular_solve(pre.r_s, y)
     return _report("pne", a, b, x, t0, x_star, preconditioner=pre,
                    lu_fallback=lu_fallback)
 
@@ -271,7 +290,8 @@ def solve_hpne(a, b, pre, x_star=None, a_p=None):
     t0 = time.perf_counter()
     if a_p is None:
         a_p = precondition_matrix(a, pre)
-    x = lu_solve(a_p.T @ a, a_p.T @ b)
+    with _silent_overflow():
+        x = lu_solve(a_p.T @ a, a_p.T @ b)
     return _report("hpne", a, b, x, t0, x_star, preconditioner=pre)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -111,15 +112,21 @@ def test_solve_prints_cholesky_to_lu_fallback(tmp_path, capsys, monkeypatch):
     assert "gram solve        LU (Cholesky failed)" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
 def test_non_finite_solution_exits_three(tmp_path, capsys):
     # A^T b overflows binary64 once A and b are scaled by 1e200
     path = _gen(tmp_path)
     p = load_problem(path)
     write_matrix(path / "A.mtx", p.a * 1e200)
     write_matrix(path / "b.mtx", p.b * 1e200)
-    assert main(["solve", "--problem", str(path), "--method", "sne"]) == 3
-    assert "Overflow" in capsys.readouterr().err
+    # pytest records warnings instead of printing them, so catch them here
+    # too: outside pytest each would reach stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--problem", str(path), "--method", "sne"]) == 3
+    err = capsys.readouterr().err
+    assert "Overflow" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -11,10 +11,15 @@ from sketchlsq import (
     BINARY16,
     BINARY32,
     BINARY64,
+    RankDeficient,
+    apply_sketch,
     decide_precision,
     estimate_log10_condition,
+    generate_problem,
     householder_qr,
+    make_sketch,
     qr_in_precision,
+    r_in_precision,
     round_to_precision,
     select_precision,
     triangular_with_condition,
@@ -202,3 +207,43 @@ def test_qr_in_precision_half_matches_pinned_factors():
     digest = hashlib.sha256(fac.q.tobytes() + fac.r.tobytes()).hexdigest()
     assert digest == (
         "ed7cc5386b492d2de54f6da2c01dc7117cd4bc4d936e1313c3a47eeb2ed28745")
+
+
+def _half_sketch(m, n, kappa, seed, transform="dct2"):
+    p = generate_problem(m, n, kappa, 1e-6, seed)
+    op = make_sketch(m, 3 * n, transform, seed)
+    return apply_sketch(op, round_to_precision(p.a, BINARY16).data)
+
+
+def test_r_in_precision_is_the_qr_factor_bit_for_bit():
+    """R alone equals the R of the full factorization at every level, on
+    planted matrices, the pinned binary16 inputs and binary16 sketches."""
+    cases = [_planted(60, 10, 1e3, seed=s) for s in range(3)]
+    cases += [3.0 * stream(17, 3).standard_normal(shape)
+              for shape in ((8, 3), (40, 6))]
+    cases += [_half_sketch(600, 40, 1e2, seed=s, transform=t)
+              for s in range(2) for t in ("dct2", "wht")]
+    cases.append(np.float32(3.0) * _planted(30, 30, 10.0, seed=7)
+                 .astype(np.float32))
+    for a in cases:
+        for level in (BINARY16, BINARY32, BINARY64):
+            r = r_in_precision(a, level)
+            assert r.dtype == np.float64
+            assert np.array_equal(r, qr_in_precision(a, level).r)
+
+
+def test_r_in_precision_raises_what_qr_in_precision_raises():
+    # a kappa 1e6 sketch forced to binary16 collapses in the reduction
+    a = _half_sketch(600, 40, 1e6, seed=0)
+    with pytest.raises(RankDeficient) as full:
+        qr_in_precision(a, BINARY16)
+    with pytest.raises(RankDeficient) as alone:
+        r_in_precision(a, BINARY16)
+    assert str(alone.value) == str(full.value)
+    assert "reflector 19" in str(alone.value)
+    zero_column = np.outer(np.arange(1.0, 6.0), [1.0, 0.0])
+    for level in (BINARY16, BINARY32, BINARY64):
+        with pytest.raises(RankDeficient):
+            qr_in_precision(zero_column, level)
+        with pytest.raises(RankDeficient):
+            r_in_precision(zero_column, level)

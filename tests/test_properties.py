@@ -80,3 +80,48 @@ def test_pipeline_raises_typed_error_or_meets_bound(
     assert report.relative_error <= limit, (
         f"{method}/{precision} {m}x{n} kappa={kappa:g}: "
         f"{report.relative_error:.3e} > {limit:.3e}")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.sampled_from((1, 2, 5, 16)),
+    extra_rows=st.sampled_from((0, 1, 37, 300)),
+    edge=st.sampled_from((15, -14, -24)),
+    method=st.sampled_from(("pne", "hpne")),
+    precision=st.sampled_from(("half", "auto")),
+    transform=st.sampled_from(("dct2", "wht")),
+    d_factor=st.sampled_from((1.0, 1.0 + 2.0 ** -52)),
+    seed=st.integers(0, 2 ** 16),
+)
+# the largest entry just below the binary16 overflow threshold, at the
+# smallest normal and at the smallest subnormal, each with d = n
+@example(n=16, extra_rows=300, edge=15, method="pne", precision="half",
+         transform="wht", d_factor=1.0, seed=5)
+@example(n=5, extra_rows=37, edge=-14, method="hpne", precision="half",
+         transform="dct2", d_factor=1.0, seed=6)
+@example(n=16, extra_rows=37, edge=-24, method="pne", precision="auto",
+         transform="wht", d_factor=1.0, seed=7)
+def test_pipeline_at_binary16_range_edges_raises_typed_error_or_is_finite(
+        n, extra_rows, edge, method, precision, transform, d_factor, seed):
+    """A and b are scaled by one power of two, so that A's largest entry
+    lies in [2^(edge-1), 2^edge): next to the binary16 overflow threshold
+    (edge 15), the smallest normal (-14) or the smallest subnormal (-24).
+    d_factor 1 gives d = n, and the next float above 1 gives d = n + 1.
+    Outside any analysed domain, so only the outcome's type is checked."""
+    kappa = 1.0 if n == 1 else 1e2
+    m = n + extra_rows
+    p = _problem(m, n, kappa, 1e-8 if m > n else 0.0, seed)
+    _, exp = np.frexp(np.abs(p.a).max())
+    scale = 2.0 ** (edge - int(exp))
+    try:
+        report = sq.algorithm1_pipeline(
+            p.a * scale, p.b * scale, method=method, precision=precision,
+            d_factor=d_factor, transform=transform, seed=seed,
+            x_star=p.x_star)
+    except sq.SketchLsqError:
+        return
+    except ValueError as exc:
+        # only a sketch taller than the (padded) input may be refused
+        assert "exceeds padded height" in str(exc)
+        return
+    assert np.isfinite(report.x_hat).all()

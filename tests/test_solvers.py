@@ -1,5 +1,7 @@
 """Tests for the sketch-preconditioned solvers and the full pipeline."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sketchlsq import (
     generate_problem,
     householder_qr,
     precondition_matrix,
+    qr_in_precision,
     solve_hpne,
     solve_normal,
     solve_notnormal,
@@ -229,7 +232,7 @@ def test_bad_x_star_is_rejected(x_star, error):
             solve()
 
 
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_solution_raises_overflow():
     # A^T b overflows binary64 at this scale, so sne's x_hat is all NaN
     p = generate_problem(100, 8, 10.0, 1e-6, seed=2)
@@ -277,3 +280,51 @@ def test_pipeline_takes_no_singular_values(monkeypatch):
             assert np.isfinite(report.x_hat).all()
     with pytest.raises(AssertionError, match="svdvals"):
         condition_diagnostics(p.a)
+
+
+def test_preconditioner_build_never_forms_q(monkeypatch):
+    """The binary16 build reads only R: with the thin-Q accumulation
+    disabled in every namespace that binds it, pne and hpne still solve
+    at forced and automatically chosen binary16."""
+    def no_q(*args, **kwargs):
+        raise AssertionError("accumulate_thin_q called during a build")
+
+    binding = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "sketchlsq"
+               and hasattr(module, "accumulate_thin_q")]
+    assert {module.__name__ for module in binding} >= {
+        "sketchlsq.dense", "sketchlsq.precision"}
+    for module in binding:
+        monkeypatch.setattr(module, "accumulate_thin_q", no_q)
+    p = generate_problem(600, 40, 1e2, 1e-8, seed=6)
+    for transform in ("dct2", "wht"):
+        for method in ("pne", "hpne"):
+            for precision in ("auto", "half"):
+                report = algorithm1_pipeline(
+                    p.a, p.b, method=method, precision=precision,
+                    transform=transform, seed=6, x_star=p.x_star)
+                assert report.preconditioner.computed_in is BINARY16
+                assert report.escalated_from is None
+                assert report.relative_error <= 1e-10
+    with pytest.raises(AssertionError, match="accumulate_thin_q"):
+        qr_in_precision(p.a, BINARY16)
+
+
+def test_zero_rhs_has_zero_relative_residual():
+    p = generate_problem(300, 20, 1e3, 1e-6, seed=9)
+    zero = np.zeros(p.m)
+    reports = [solve_qr_baseline(p.a, zero)]
+    reports += [algorithm1_pipeline(p.a, zero, method=method, seed=9)
+                for method in ("pne", "hpne")]
+    for report in reports:
+        assert not report.x_hat.any()
+        assert report.residual_norm == 0.0
+        assert report.relative_residual == 0.0
+
+
+def test_sketch_out_of_range_is_a_typed_overflow():
+    # entries fit binary16, but the float16 WHT butterflies overflow
+    p = generate_problem(600, 20, 10.0, 1e-6, seed=3)
+    a = p.a * (40000.0 / np.abs(p.a).max())
+    with pytest.raises(Overflow, match="sketch exceeds the binary16 range"):
+        build_preconditioner(a, transform="wht", level=BINARY16, seed=3)
