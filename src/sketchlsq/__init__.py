@@ -54,7 +54,6 @@ from .precision import (
     decide_precision,
     estimate_log10_condition,
     qr_in_precision,
-    r_in_precision,
     round_to_precision,
     select_precision,
 )

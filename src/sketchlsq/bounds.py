@@ -11,10 +11,9 @@ is the one place that measures kappa(A), kappa(R_s) and kappa(A_p).
 
 Conventions: u1 is the roundoff of the preconditioner precision, u2 of the
 working precision; residual ratios are norm(residual) / (norm(matrix) *
-norm(solution)) in the two-norm.  eps_a, eps_b, eps_p, eps_s name the
-backward-perturbation sizes on A, B, A_p, and the sketch stage; when
-measuring (rather than proving) they are set to the corresponding
-roundoffs.
+norm(solution)) in the two-norm.  eps_a and eps_b name the
+backward-perturbation sizes on A and B; when measuring (rather than
+proving) eps_a is set to the working roundoff u2.
 """
 
 from dataclasses import dataclass, replace
@@ -41,8 +40,6 @@ class BoundInputs:
     u2: float | None = None
     eps_a: float | None = None
     eps_b: float | None = None
-    eps_p: float | None = None
-    eps_s: float | None = None
     res_ratio_a: float | None = None
     res_ratio_ap: float | None = None
 
@@ -81,14 +78,12 @@ def bound_ls(inputs):
     return k * inputs.eps_a * (1.0 + k * inputs.res_ratio_a)
 
 
-def bound_ne_family(inputs, kind="normal"):
+def bound_ne_family(inputs):
     """Error bound for the normal or seminormal equations.
 
-    kappa_a^2 * eps_a * (res_ratio_a + 1 + eps_a); the seminormal variant
-    has the same first-order form, so kind only labels the result.
+    kappa_a^2 * eps_a * (res_ratio_a + 1 + eps_a); both variants have
+    this first-order form.
     """
-    if kind not in ("normal", "seminormal"):
-        raise ValueError(f"kind must be normal or seminormal, got {kind!r}")
     _need(inputs, "kappa_a", "eps_a", "res_ratio_a")
     k = inputs.kappa_a
     return k * k * inputs.eps_a * (inputs.res_ratio_a + 1.0 + inputs.eps_a)
@@ -221,8 +216,8 @@ def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
         when there is no preconditioner), u2 to 2^-52.
     a_p, diagnostics : optional precomputed values to avoid re-measuring.
 
-    The backward-perturbation sizes are set to eps_a = eps_p = u2 and
-    eps_s = u1; eps_b stays None for the caller to fill.
+    The backward-perturbation size eps_a is set to u2; eps_b stays None
+    for the caller to fill.
     """
     if u2 is None:
         u2 = _U2_DEFAULT
@@ -239,8 +234,6 @@ def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
         u1=u1,
         u2=u2,
         eps_a=u2,
-        eps_p=u2,
-        eps_s=u1,
         res_ratio_a=res_ratio_a,
     )
     if pre is None:

@@ -3,9 +3,11 @@
 QR, triangular, LU and Cholesky solves and the singular values behind
 condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
 raise the package's typed errors and compute in the common dtype of their
-inputs (binary32 stays binary32; binary16 is promoted to binary32).  Two hand-written kernels remain: the
-Householder reduction that the emulated binary16 path needs, and a
-one-sided Jacobi singular value kernel kept as an independent reference.
+inputs (binary32 stays binary32; binary16 is promoted to binary32).
+Two hand-written kernels remain.  householder_reduce is the one binary16
+kernel: it rounds every scalar operation to float16, as LAPACK cannot,
+and returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel,
+is kept as an independent reference for the tests.
 The Hager 1-norm inverse estimator drives any black-box solver.
 """
 
@@ -69,24 +71,34 @@ def _as_matrix(a, name="a"):
     return arr
 
 
-def householder_reduce(a, ops):
-    """Reduce a to upper-triangular form by Householder reflections.
+def _pairwise_sum(x):
+    # Deterministic binary tree over axis 0; one rounded add per element
+    # per level, so float16 input stays float16 throughout.
+    while x.shape[0] > 1:
+        half = x.shape[0] // 2
+        y = x[0:2 * half:2] + x[1:2 * half:2]
+        if x.shape[0] % 2:
+            y = np.concatenate([y, x[2 * half:]], axis=0)
+        x = y
+    return x[0]
 
-    The binary16 kernel: ops rounds every scalar operation, which LAPACK
-    cannot do.
+
+def householder_reduce(a):
+    """Triangular factor of a by Householder reflections in binary16.
+
+    The emulated binary16 kernel: every scalar operation is a numpy float16
+    operation, rounded to nearest, and every inner product is a pairwise
+    tree of float16 adds (_pairwise_sum), which LAPACK cannot do.  Q is
+    never formed.
 
     Parameters
     ----------
     a : ndarray, shape (m, n) with m >= n
-    ops : arithmetic protocol, see precision.HALF_OPS
+        Converted to float16 first.
 
     Returns
     -------
-    reflectors : list of ndarray
-        Reflector j has length m - j and is not normalized.
-    taus : list of scalar
-        tau_j = 2 / (v_j . v_j).
-    r : ndarray, shape (n, n)
+    r : ndarray, shape (n, n), float16
         Upper-triangular factor; subdiagonal entries are exact zeros.
 
     Notes
@@ -96,47 +108,31 @@ def householder_reduce(a, ops):
     cancels.  A pivot column that is exactly zero (or whose squared norm
     underflows to zero in the working precision) raises RankDeficient.
     """
-    m, n = a.shape
-    w = np.array(a, order="F", copy=True)
-    two = w.dtype.type(2)
-    reflectors = []
-    taus = []
+    n = a.shape[1]
+    w = np.array(a, dtype=np.float16, order="F", copy=True)
+    two = np.float16(2)
     for j in range(n):
-        x = w[j:, j].copy()
-        norm = ops.sqrt(ops.dot(x, x))
+        v = w[j:, j].copy()
+        norm = np.sqrt(_pairwise_sum(v * v))
         if norm == 0:
             raise RankDeficient(f"pivot column {j} is zero at working precision")
-        alpha = -norm if x[0] >= 0 else norm
-        v = x
-        v[0] = ops.sub(x[0], alpha)
-        vtv = ops.dot(v, v)
+        alpha = -norm if v[0] >= 0 else norm
+        v[0] = v[0] - alpha
+        vtv = _pairwise_sum(v * v)
         if vtv == 0:
             raise RankDeficient(f"reflector {j} vanished at working precision")
-        tau = ops.div(two, vtv)
+        tau = two / vtv
         # vtv can underflow so far that 2/vtv leaves the working range;
         # that is a rank collapse at this precision, not a true overflow
         if not np.isfinite(tau):
             raise RankDeficient(
                 f"reflector {j} norm underflowed at working precision")
         if j + 1 < n:
-            t = ops.scale(tau, ops.vec_mat(v, w[j:, j + 1:]))
-            ops.rank1_sub(w[j:, j + 1:], v, t)
+            t = tau * _pairwise_sum(v[:, None] * w[j:, j + 1:])
+            w[j:, j + 1:] -= v[:, None] * t[None, :]
         w[j, j] = alpha
         w[j + 1:, j] = 0
-        reflectors.append(v)
-        taus.append(tau)
-    return reflectors, taus, np.array(w[:n, :], copy=True)
-
-
-def accumulate_thin_q(reflectors, taus, m, n, ops, dtype):
-    """Form the thin Q factor by applying reflectors backward to eye(m, n)."""
-    q = np.zeros((m, n), dtype=dtype, order="F")
-    q[np.arange(n), np.arange(n)] = 1
-    for j in reversed(range(n)):
-        v = reflectors[j]
-        t = ops.scale(taus[j], ops.vec_mat(v, q[j:, :]))
-        ops.rank1_sub(q[j:, :], v, t)
-    return q
+    return w[:n].copy(order="F")
 
 
 def _tall_matrix(a):

@@ -1,9 +1,12 @@
 """Floating-point precision emulation and automatic selection.
 
-binary32 and binary64 run natively.  binary16 is emulated on top of numpy
-float16, whose elementwise operations round to nearest (ties to even) after
-every scalar operation; reductions that numpy would otherwise accumulate in
-higher precision are replaced by explicit pairwise trees of float16 adds.
+binary32 and binary64 run natively (LAPACK).  binary16 is emulated on top
+of numpy float16, whose elementwise operations round to nearest (ties to
+even) after every scalar operation; reductions that numpy would otherwise
+accumulate in higher precision are replaced by explicit pairwise trees of
+float16 adds.  The one hand-written binary16 kernel is
+dense.householder_reduce, behind qr_in_precision, the one low-precision
+factorization, which returns R alone.
 
 Two unit-roundoff constants live on each level: `unit_roundoff` is the true
 round-to-nearest half-ulp (2^-11, 2^-24, 2^-53) describing storage, while
@@ -17,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
-    QRFactors,
-    accumulate_thin_q,
     cholesky_factor,
     hager_one_norm_inverse_estimate,
-    householder_qr,
     householder_reduce,
     qr_r_factor,
     triangular_solve,
@@ -105,95 +105,17 @@ def round_to_precision(a, level):
     return RoundedMatrix(data=data, overflowed=overflowed)
 
 
-def _pairwise_sum(x):
-    # Deterministic binary tree over axis 0; one rounded add per element
-    # per level, so float16 input stays float16 throughout.
-    while x.shape[0] > 1:
-        half = x.shape[0] // 2
-        y = x[0:2 * half:2] + x[1:2 * half:2]
-        if x.shape[0] % 2:
-            y = np.concatenate([y, x[2 * half:]], axis=0)
-        x = y
-    return x[0]
-
-
-class _HalfOps:
-    """Householder arithmetic with every scalar operation rounded to float16."""
-
-    @staticmethod
-    def dot(u, v):
-        return _pairwise_sum(u * v)
-
-    @staticmethod
-    def vec_mat(v, m):
-        return _pairwise_sum(v[:, None] * m)
-
-    @staticmethod
-    def rank1_sub(m, v, w):
-        m -= v[:, None] * w[None, :]
-
-    @staticmethod
-    def scale(t, v):
-        return t * v
-
-    @staticmethod
-    def sqrt(s):
-        return np.sqrt(s)
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-
-HALF_OPS = _HalfOps()
-
-
-_HALF_OVERFLOW = "binary16 computation produced non-finite values"
-
-
-def _reduce_half(a):
-    # Exact power-of-two pre-scaling puts the largest entry in [0.5, 1) and
-    # keeps the emulated kernel in range.  R is un-scaled after promotion,
-    # since the un-scaled factor itself may exceed the binary16 range.
-    work = a.astype(np.float64)
-    maxabs = float(np.abs(work).max())
-    if maxabs == 0:
-        raise RankDeficient("zero matrix")
-    _, exp = math.frexp(maxabs)
-    scale = 2.0 ** -exp
-    rounded = round_to_precision(work * scale, BINARY16)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        reflectors, taus, r16 = householder_reduce(rounded.data, HALF_OPS)
-    if not np.isfinite(r16).all():
-        raise Overflow(_HALF_OVERFLOW)
-    return reflectors, taus, r16.astype(np.float64) / scale
-
-
-def _lapack_input(a, level):
-    # binary32/64 factor the input rounded to the level, in its dtype
-    if level.name == "binary64":
-        return a.astype(np.float64)
-    rounded = round_to_precision(a, level)
-    if rounded.overflowed:
-        raise Overflow(f"input exceeds the {level.name} range")
-    return rounded.data
-
-
 def qr_in_precision(a, level):
-    """Householder QR with all arithmetic performed in the given precision.
+    """Triangular factor R of the QR of a, computed in the given precision.
 
-    Returns factors promoted to binary64 storage; every value is the exact
-    promotion of the precision-level result.  binary32 runs LAPACK sgeqrf
-    on the rounded input.  The binary16 path is r_in_precision's emulated
-    reduction followed by the emulated accumulation of the thin Q.
-
-    qr_in_precision(a, binary64) delegates to householder_qr and is
-    bit-identical to it.  The preconditioner needs only R and takes it
-    from r_in_precision, which gives this R bit for bit without forming Q.
+    Returns R alone, promoted to binary64 storage; every value is the exact
+    promotion of the precision-level result.  Q is never formed.
+    binary32/64 run LAPACK geqrf (qr_r_factor) on the input rounded to the
+    level, so qr_in_precision(a, BINARY64) is qr_r_factor(a).  binary16
+    pre-scales the input by an exact power of two so the largest entry
+    sits in [0.5, 1), runs the emulated float16 Householder reduction
+    (householder_reduce), and un-scales R after promotion, since the
+    un-scaled factor itself may exceed the binary16 range.
 
     Raises
     ------
@@ -205,39 +127,21 @@ def qr_in_precision(a, level):
     """
     a = _tall_matrix(a)
     if level.name != "binary16":
-        factors = householder_qr(_lapack_input(a, level))
-        return QRFactors(q=factors.q.astype(np.float64, copy=False),
-                         r=factors.r.astype(np.float64, copy=False))
-    reflectors, taus, r = _reduce_half(a)
+        rounded = round_to_precision(a, level)
+        if rounded.overflowed:
+            raise Overflow(f"input exceeds the {level.name} range")
+        return qr_r_factor(rounded.data).astype(np.float64, copy=False)
+    work = a.astype(np.float64)
+    maxabs = float(np.abs(work).max())
+    if maxabs == 0:
+        raise RankDeficient("zero matrix")
+    scale = 2.0 ** -math.frexp(maxabs)[1]
+    rounded = round_to_precision(work * scale, BINARY16)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        q16 = accumulate_thin_q(reflectors, taus, *a.shape, ops=HALF_OPS,
-                                dtype=np.float16)
-    if not np.isfinite(q16).all():
-        raise Overflow(_HALF_OVERFLOW)
-    return QRFactors(q=q16.astype(np.float64), r=r)
-
-
-def r_in_precision(a, level):
-    """Triangular factor of qr_in_precision(a, level), bit for bit, alone.
-
-    binary32/64 run LAPACK geqrf in mode "r" on the rounded input.  The
-    binary16 path pre-scales the input by an exact power of two so the
-    largest entry sits in [0.5, 1), runs the emulated float16 Householder
-    reduction without forming Q, and un-scales R after promotion to
-    binary64.
-
-    Raises
-    ------
-    RankDeficient
-        If a pivot column vanishes at the working precision.
-    Overflow
-        If demotion overflows or the emulated computation produces
-        non-finite values despite the pre-scaling.
-    """
-    a = _tall_matrix(a)
-    if level.name == "binary16":
-        return _reduce_half(a)[2]
-    return qr_r_factor(_lapack_input(a, level)).astype(np.float64, copy=False)
+        r16 = householder_reduce(rounded.data)
+    if not np.isfinite(r16).all():
+        raise Overflow("binary16 computation produced non-finite values")
+    return r16.astype(np.float64) / scale
 
 
 def estimate_log10_condition(a):

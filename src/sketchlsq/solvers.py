@@ -16,6 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 from .bounds import bound_hpne, bound_pne
 from .dense import (
@@ -37,7 +38,7 @@ from .precision import (
     PrecisionDecision,
     PrecisionLevel,
     next_higher,
-    r_in_precision,
+    qr_in_precision,
     resolve_precision,
     round_to_precision,
 )
@@ -111,18 +112,28 @@ def _check_system(a, b, x_star=None):
 
 def _silent_overflow():
     # A solve that leaves range yields non-finite values, which _report or
-    # a kernel's input check then rejects; numpy's warnings about the same
-    # values on stderr would only be noise.
+    # _finite_system then rejects; numpy's warnings about the same values
+    # on stderr would only be noise.
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _finite_system(method, g, rhs):
+    # an n x n system formed from A overflowed; the kernels would reject it
+    # as invalid input (ValueError), but it is a range failure
+    if not (np.isfinite(g).all() and np.isfinite(rhs).all()):
+        raise Overflow(f"{method} system has non-finite entries")
+    return g, rhs
 
 
 def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
             lu_fallback=False):
     if not np.isfinite(x_hat).all():
         raise Overflow(f"{method} solution has non-finite entries")
+    # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
+    # near the binary64 range
     r = a @ x_hat - b
-    residual_norm = float(np.linalg.norm(r))
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(x_hat))
+    residual_norm = float(linalg.norm(r))
+    denom = float(linalg.norm(a.ravel())) * float(linalg.norm(x_hat))
     if residual_norm == 0:
         relative_residual = 0.0
     else:
@@ -162,7 +173,7 @@ def solve_normal(a, b, x_star=None):
     a, b, x_star = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     with _silent_overflow():
-        x = cholesky_solve(a.T @ a, a.T @ b)
+        x = cholesky_solve(*_finite_system("ne", a.T @ a, a.T @ b))
     return _report("ne", a, b, x, t0, x_star)
 
 
@@ -191,7 +202,7 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
             f"b_matrix shape {b_matrix.shape} != a shape {a.shape}")
     t0 = time.perf_counter()
     with _silent_overflow():
-        x = lu_solve(b_matrix.T @ a, b_matrix.T @ b)
+        x = lu_solve(*_finite_system("nne", b_matrix.T @ a, b_matrix.T @ b))
     return _report("nne", a, b, x, t0, x_star)
 
 
@@ -210,7 +221,7 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     sketch itself runs in that precision, and the QR of the d x n sketch
     runs with every operation rounded to it.  Only what the solve reads
     is computed: the sketch's d sampled rows and the triangular factor
-    (r_in_precision, which never forms Q).  The returned factor is the
+    (qr_in_precision, which never forms Q).  The returned factor is the
     exact binary64 promotion of the low-precision result.
 
     Raises
@@ -235,7 +246,7 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     a_s = apply_sketch(op, rounded.data)
     if not np.isfinite(a_s).all():
         raise Overflow(f"sketch exceeds the {level.name} range")
-    r_s = r_in_precision(a_s, level)
+    r_s = qr_in_precision(a_s, level)
     if (np.diagonal(r_s) == 0).any():
         raise RankDeficient("sketched factor has a zero diagonal entry")
     return Preconditioner(r_s=r_s, computed_in=level,
@@ -300,8 +311,10 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
     """Build the preconditioner and A_p, escalating precision once on failure.
 
     A RankDeficient sketch factor (the typical binary16 failure mode on
-    ill-conditioned input) triggers exactly one retry at the next wider
-    precision; a second failure propagates.
+    ill-conditioned input) or an Overflow (demotion, sketch or factor
+    leaving the working range, as a binary16 sketch of entries near 4e4
+    does) triggers exactly one retry at the next wider precision; a second
+    failure propagates.
 
     Returns
     -------
@@ -314,7 +327,7 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
             pre = build_preconditioner(a, d_factor, transform, level, seed)
             a_p = precondition_matrix(a, pre)
             return pre, a_p, escalated_from
-        except RankDeficient:
+        except (RankDeficient, Overflow):
             wider = next_higher(level)
             if escalated_from is not None or wider is None:
                 raise

@@ -51,7 +51,6 @@ def test_bound_ls_oracles():
 def test_bound_ne_oracles():
     inputs = BoundInputs(kappa_a=1e4, eps_a=U52, res_ratio_a=1e-2)
     assert bound_ne_family(inputs) == 2.242650509742817e-08
-    assert bound_ne_family(inputs, kind="seminormal") == 2.242650509742817e-08
     # kappa^2 * eps reaches order one at kappa = 1e8 even with zero residual
     grown = inputs.updated(kappa_a=1e8, res_ratio_a=0.0)
     assert bound_ne_family(grown) == 2.2204460492503135

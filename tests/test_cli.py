@@ -113,20 +113,23 @@ def test_solve_prints_cholesky_to_lu_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_solution_exits_three(tmp_path, capsys):
-    # A^T b overflows binary64 once A and b are scaled by 1e200
+    # A^T b and A^T A overflow binary64 once A and b are scaled by 1e200
     path = _gen(tmp_path)
     p = load_problem(path)
     write_matrix(path / "A.mtx", p.a * 1e200)
     write_matrix(path / "b.mtx", p.b * 1e200)
-    # pytest records warnings instead of printing them, so catch them here
-    # too: outside pytest each would reach stderr
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["solve", "--problem", str(path), "--method", "sne"]) == 3
-    err = capsys.readouterr().err
-    assert "Overflow" in err
-    assert "RuntimeWarning" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for method in ("sne", "ne"):
+        # pytest records warnings instead of printing them, so catch them
+        # here too: outside pytest each would reach stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--problem", str(path),
+                         "--method", method]) == 3
+        err = capsys.readouterr().err
+        assert "Overflow" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 def test_numerical_failure_exits_three(tmp_path):
