@@ -25,7 +25,6 @@ from .dense import (
     QRFactors,
     cholesky_solve,
     condition_diagnostics,
-    hager_one_norm_inverse_estimate,
     householder_qr,
     lu_solve,
     triangular_solve,

@@ -19,11 +19,11 @@ proving) eps_a is set to the working roundoff u2.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import linalg
 
 from .dense import condition_diagnostics
 from .errors import MissingField, PoleAtOne
-
-_U2_DEFAULT = 2.0 ** -52
+from .precision import BINARY64
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def measure_problem(problem, pre=None, a_p=None):
     )
 
 
-def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
-                         a_p=None, diagnostics=None):
+def measure_bound_inputs(problem, report, pre=None, diagnostics=None):
     """Fill a BoundInputs record from a solved instance.
 
     Parameters
@@ -210,25 +209,24 @@ def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
     pre : Preconditioner or None
         When given, the preconditioned quantities (kappa_rs, kappa_ap,
         kappa_apta, nu_pne, nu_hpne, res_ratio_ap) are measured too.
-    u1, u2 : float or None
-        Roundoff constants for the bounds; u1 defaults to the
-        bound-convention roundoff of the preconditioner precision (or u2
-        when there is no preconditioner), u2 to 2^-52.
-    a_p, diagnostics : optional precomputed values to avoid re-measuring.
+    diagnostics : ProblemDiagnostics or None
+        measure_problem's record for (problem, pre), to avoid re-measuring.
 
-    The backward-perturbation size eps_a is set to u2; eps_b stays None
-    for the caller to fill.
+    u2 is the binary64 roundoff 2^-52 and u1 the bound-convention
+    roundoff of the preconditioner precision (u2 when there is no
+    preconditioner).  The backward-perturbation size eps_a is set to u2;
+    eps_b stays None for the caller to fill.
     """
-    if u2 is None:
-        u2 = _U2_DEFAULT
-    if u1 is None:
-        u1 = pre.computed_in.bound_roundoff if pre is not None else u2
+    u2 = BINARY64.bound_roundoff
+    u1 = pre.computed_in.bound_roundoff if pre is not None else u2
     if diagnostics is None:
-        diagnostics = measure_problem(problem, pre, a_p)
+        diagnostics = measure_problem(problem, pre)
     x_hat = np.asarray(report.x_hat, dtype=np.float64)
-    norm_x = float(np.linalg.norm(x_hat))
+    # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
+    # near the binary64 range
+    norm_x = float(linalg.norm(x_hat))
     r = problem.a @ x_hat - problem.b
-    res_ratio_a = float(np.linalg.norm(r)) / (diagnostics.norm_a * norm_x)
+    res_ratio_a = float(linalg.norm(r)) / (diagnostics.norm_a * norm_x)
     inputs = BoundInputs(
         kappa_a=diagnostics.kappa_a,
         u1=u1,
@@ -239,7 +237,7 @@ def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
     if pre is None:
         return inputs
     y = pre.r_s @ x_hat
-    norm_y = float(np.linalg.norm(y))
+    norm_y = float(linalg.norm(y))
     r_p = diagnostics.a_p @ y - problem.b
     return inputs.updated(
         kappa_rs=diagnostics.kappa_rs,
@@ -248,5 +246,5 @@ def measure_bound_inputs(problem, report, pre=None, u1=None, u2=None,
         nu_pne=norm_y / (diagnostics.norm_rs * norm_x),
         nu_hpne=(diagnostics.norm_ap * diagnostics.norm_a
                  / diagnostics.norm_apta),
-        res_ratio_ap=float(np.linalg.norm(r_p)) / (diagnostics.norm_ap * norm_y),
+        res_ratio_ap=float(linalg.norm(r_p)) / (diagnostics.norm_ap * norm_y),
     )

@@ -8,7 +8,6 @@ Two hand-written kernels remain.  householder_reduce is the one binary16
 kernel: it rounds every scalar operation to float16, as LAPACK cannot,
 and returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel,
 is kept as an independent reference for the tests.
-The Hager 1-norm inverse estimator drives any black-box solver.
 """
 
 import math
@@ -406,34 +405,3 @@ def condition_diagnostics(a):
         singular_values=sv,
     )
 
-
-def hager_one_norm_inverse_estimate(solve, n):
-    """Estimate the 1-norm of s^{-1} from solves with s and s^T.
-
-    Hager's method: at most five iterations, each one solve with s and one
-    with s^T.  The returned value never exceeds the true norm(s^{-1}, 1)
-    since every iterate is norm(s^{-1} x, 1) for some unit-1-norm x.
-
-    Parameters
-    ----------
-    solve : callable(rhs, transposed) -> ndarray
-        Black-box solver for s x = rhs (transposed=False) and
-        s^T x = rhs (transposed=True).
-    n : int
-        Dimension of s.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    x = np.full(n, 1.0 / n)
-    best = 0.0
-    for _ in range(5):
-        y = np.asarray(solve(x, False), dtype=np.float64)
-        best = max(best, float(np.abs(y).sum()))
-        xi = np.where(y >= 0, 1.0, -1.0)
-        z = np.asarray(solve(xi, True), dtype=np.float64)
-        j = int(np.argmax(np.abs(z)))  # lowest index wins ties
-        if abs(z[j]) <= float(z @ x):
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return best

@@ -204,9 +204,10 @@ def write_csv(path, rows, columns):
 
 
 def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
-                  trials=3, seed=0, d_factor=3.0, transform=DCT2,
-                  output_path=None):
+                  trials=3, seed=0, output_path=None):
     """Median wall-clock comparison of qr, pne(double), and pne(auto).
+
+    The pipeline runs with its default sketch (DCT-II, d = 3n).
 
     Accuracy columns are deterministic for a fixed seed; timings are
     reported as found.  speedup_vs_qr is the median time of the qr
@@ -222,11 +223,11 @@ def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
             "qr": lambda: solve_qr_baseline(problem.a, problem.b,
                                             problem.x_star),
             "pne_double": lambda: algorithm1_pipeline(
-                problem.a, problem.b, "pne", "double", d_factor, transform,
-                rng.mix64(seed, n, 1), problem.x_star),
+                problem.a, problem.b, "pne", "double",
+                seed=rng.mix64(seed, n, 1), x_star=problem.x_star),
             "pne_auto": lambda: algorithm1_pipeline(
-                problem.a, problem.b, "pne", "auto", d_factor, transform,
-                rng.mix64(seed, n, 1), problem.x_star),
+                problem.a, problem.b, "pne", "auto",
+                seed=rng.mix64(seed, n, 1), x_star=problem.x_star),
         }
         medians = {}
         for name, run in runs.items():

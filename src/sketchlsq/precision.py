@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpocon
 
 from .dense import (
     cholesky_factor,
-    hager_one_norm_inverse_estimate,
     householder_reduce,
     qr_r_factor,
-    triangular_solve,
     _as_matrix,
     _tall_matrix,
 )
@@ -147,11 +146,13 @@ def qr_in_precision(a, level):
 def estimate_log10_condition(a):
     """Cheap estimate of log10 of the condition number via the Gram matrix.
 
-    Forms G = a^T a, factors it by Cholesky with no fallback, and
-    estimates norm(G^{-1}, 1) with at most five Hager iterations of
-    triangular solves.  kappa0 = 0.5 * log10(n * norm(G,1) * estimate)
-    since n * norm(G,1) * norm(G^{-1},1) bounds the squared two-norm
-    condition number of a.
+    Forms G = a^T a, factors it by Cholesky with no fallback, and has
+    LAPACK dpocon estimate the reciprocal condition number
+    rcond = 1 / (norm(G,1) * norm(G^{-1},1)) from the Cholesky factor
+    (Hager's method with Higham's refinements, which never overstates
+    norm(G^{-1},1)).  kappa0 = 0.5 * log10(n / rcond), since
+    n * norm(G,1) * norm(G^{-1},1) bounds the squared two-norm condition
+    number of a.
 
     Everything runs in binary64.  That places the Cholesky breakdown
     frontier at kappa(G) ~ 1/u, i.e. kappa(a) ~ 1e8: exactly the boundary
@@ -162,12 +163,12 @@ def estimate_log10_condition(a):
     Returns
     -------
     (kappa0, overflowed) : tuple of float and bool
-        overflowed is True when any intermediate is non-finite or the
-        Cholesky breaks down; kappa0 is NaN in that case.
+        overflowed is True when any intermediate is non-finite, rcond is
+        zero or the Cholesky breaks down; kappa0 is NaN in that case.
     """
     a = _as_matrix(a)
     n = a.shape[1]
-    work = a.astype(np.float64)
+    work = a.astype(np.float64, copy=False)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         g = work.T @ work
         if not np.isfinite(g).all():
@@ -179,18 +180,10 @@ def estimate_log10_condition(a):
             ell = cholesky_factor(g)
         except NotPositiveDefinite:
             return (math.nan, True)
-        upper = np.asfortranarray(ell.T)
-
-        def solve(rhs, transposed):
-            # G is symmetric so the transposed solve is the same solve
-            y = triangular_solve(upper, rhs, transposed=True)
-            return triangular_solve(upper, y, transposed=False)
-
-        est = hager_one_norm_inverse_estimate(solve, n)
-    value = n * norm1 * est
-    if not math.isfinite(value) or value <= 0:
+        rcond, _ = dpocon(ell, norm1, uplo="L")
+    if rcond == 0 or not math.isfinite(n / rcond):
         return (math.nan, True)
-    return (0.5 * math.log10(value), False)
+    return (0.5 * math.log10(n / rcond), False)
 
 
 def select_precision(kappa0, overflowed):

@@ -13,7 +13,7 @@ and the two-sided generalization B^T A x = B^T b round out the family.
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -65,10 +65,10 @@ class SolveReport:
     """Everything a solve produced, plus cheap quality measures.
 
     relative_residual here uses the Frobenius norm of A in the
-    denominator (norm_is_frobenius records this); the sweep harness and
-    the bound machinery use the spectral norm instead, which they measure
-    separately.  relative_residual is 0.0 whenever the residual is exactly
-    zero, as for b = 0.  relative_error is None when no reference solution was
+    denominator; the sweep harness and the bound machinery use the
+    spectral norm instead, which they measure separately.
+    relative_residual is 0.0 whenever the residual is exactly zero, as
+    for b = 0.  relative_error is None when no reference solution was
     supplied.  wall_ms covers the solver call, including preconditioner
     construction when the solver built one itself.  lu_fallback is True
     when pne's Cholesky factorization of the preconditioned Gram matrix
@@ -82,8 +82,6 @@ class SolveReport:
     relative_error: float | None
     wall_ms: float
     preconditioner: Preconditioner | None = None
-    bounds: dict = field(default_factory=dict)
-    norm_is_frobenius: bool = True
     precision_decision: PrecisionDecision | None = None
     escalated_from: PrecisionLevel | None = None
     lu_fallback: bool = False
@@ -107,7 +105,7 @@ def _check_system(a, b, x_star=None):
                 f"x_star shape {x_star.shape} != ({a.shape[1]},)")
         if not (np.isfinite(x_star).all() and x_star.any()):
             raise ValueError("x_star must be finite and nonzero")
-    return a.astype(np.float64), b, x_star
+    return a.astype(np.float64, copy=False), b, x_star
 
 
 def _silent_overflow():
@@ -259,7 +257,7 @@ def precondition_matrix(a, pre):
     pre is left unchanged.  All arithmetic is binary64 regardless of the
     precision the factor was computed in.
     """
-    a = _as_matrix(a).astype(np.float64)
+    a = _as_matrix(a).astype(np.float64, copy=False)
     xt = triangular_solve(pre.r_s, a.T, transposed=True)
     return np.ascontiguousarray(xt.T)
 

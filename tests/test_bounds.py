@@ -4,6 +4,8 @@ Expected values were computed by hand from the bound formulas at the
 stated inputs and frozen here as literals.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from sketchlsq import (
     solve_pne,
 )
 from sketchlsq.bounds import BoundInputs, measure_problem
+from sketchlsq.solvers import METHODS
 
 U52 = 2.0 ** -52
 U23 = 2.0 ** -23
@@ -117,7 +120,7 @@ def test_measured_inputs_satisfy_norm_identities():
         diag = measure_problem(p, pre=pre, a_p=a_p)
         for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p),
                        solve_hpne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)):
-            inputs = measure_bound_inputs(p, report, pre=pre, a_p=a_p,
+            inputs = measure_bound_inputs(p, report, pre=pre,
                                           diagnostics=diag)
             if report.method == "pne":
                 assert inputs.nu_pne <= 1.0 + 1e-12
@@ -139,7 +142,7 @@ def test_measured_u1_follows_preconditioner_precision():
     pre = build_preconditioner(p.a, level=BINARY32, seed=2)
     a_p = precondition_matrix(p.a, pre)
     report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
-    inputs = measure_bound_inputs(p, report, pre=pre, a_p=a_p)
+    inputs = measure_bound_inputs(p, report, pre=pre)
     assert inputs.u1 == U23
     assert inputs.u2 == U52
 
@@ -150,5 +153,35 @@ def test_measured_error_below_new_bound():
         pre = build_preconditioner(p.a, seed=seed)
         a_p = precondition_matrix(p.a, pre)
         report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
-        inputs = measure_bound_inputs(p, report, pre=pre, a_p=a_p)
+        inputs = measure_bound_inputs(p, report, pre=pre)
         assert report.relative_error <= bound_pne(inputs, variant="new")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measured_residual_ratios_are_finite_near_the_range():
+    """A and b scaled by 2^664 (about 1e200), or A alone by 2^-664 so that
+    x_hat grows by 2^664, stay in the binary64 range, and so must the norms
+    of x_hat, of the residuals and of R_s x_hat.  The factors are exact
+    powers of two, so every solve is bitwise scale-equivariant and the
+    ratios must match the unscaled ones."""
+    p = generate_problem(200, 10, 1e3, 1e-6, seed=4)
+    for big in (replace(p, a=p.a * 2.0 ** 664, b=p.b * 2.0 ** 664),
+                replace(p, a=p.a * 2.0 ** -664)):
+        for method in ("qr", "pne", "hpne"):
+            spec = METHODS[method]
+            measured = []
+            for q in (p, big):
+                pre = None
+                if spec.preconditioned:
+                    pre = build_preconditioner(q.a, seed=4)
+                report = spec.solve(q.a, q.b, None, pre, None)
+                measured.append(measure_bound_inputs(q, report, pre))
+            base, scaled = measured
+            names = ["res_ratio_a"]
+            if spec.preconditioned:
+                names.append("res_ratio_ap")
+            for name in names:
+                value = getattr(scaled, name)
+                assert np.isfinite(value), (method, name)
+                assert value == pytest.approx(getattr(base, name),
+                                              rel=1e-12), (method, name)

@@ -112,6 +112,12 @@ def test_estimate_identity_oracle():
     assert kappa0 == 1.0
 
 
+def test_estimate_diagonal_oracle():
+    # G = diag(1, 1/4, 1/16): norm1(G) = 1, norm1(G^-1) = 16, so n * 16 = 48
+    assert estimate_log10_condition(np.diag([1.0, 0.5, 0.25])) == (
+        0.5 * math.log10(48.0), False)
+
+
 def test_estimate_tracks_planted_condition():
     for seed in range(5):
         for kappa, lo, hi in ((1e2, 1.8, 3.0), (1e4, 3.8, 5.0), (1e6, 5.8, 7.0)):
@@ -130,12 +136,22 @@ def test_estimate_upper_bounds_true_condition():
         exact = 16 * np.abs(g).sum(axis=0).max() * np.abs(np.linalg.inv(g)).sum(axis=0).max()
         kappa0, _ = estimate_log10_condition(a)
         assert kappa0 <= 0.5 * math.log10(exact) + 1e-9
+        # the inverse-norm estimate stays within a factor 3 of the exact one
+        assert kappa0 >= 0.5 * math.log10(exact / 3)
         assert kappa0 >= 3.0
 
 
 def test_estimate_overflow_path():
     a = _planted(200, 20, 1e10, seed=0)
     kappa0, overflowed = estimate_log10_condition(a)
+    assert overflowed
+    assert math.isnan(kappa0)
+
+
+def test_estimate_zero_rcond_is_overflow():
+    # G = diag(1e300, 1e-300) and its Cholesky factor are finite, but
+    # rcond = 1 / (norm1(G) norm1(G^-1)) = 1e-600 underflows to zero
+    kappa0, overflowed = estimate_log10_condition(np.diag([1e150, 1e-150]))
     assert overflowed
     assert math.isnan(kappa0)
 
