@@ -231,3 +231,34 @@ def test_qr_in_precision_raises_rank_deficient():
     for level in (BINARY16, BINARY32, BINARY64):
         with pytest.raises(RankDeficient):
             qr_in_precision(zero_column, level)
+
+
+def test_qr_in_precision_half_matches_pinned_sketch_factors():
+    """R of workload-shaped binary16 sketches (3000 x 48 -> 144, kappa
+    1e2), DCT-II and Walsh-Hadamard, bit for bit as recorded."""
+    pinned = {
+        ("dct2", 1):
+            "743cd8f8221223dad9c1b83c4ba0242ced32dcf6798302120efa2d27deb5530f",
+        ("dct2", 2):
+            "bc2e0c53b6a1ca4fd0491539c74c3d873d12ced18b927829007c06ef494d5213",
+        ("wht", 1):
+            "a7190c1dbc688538aa24d7a0398fbb85faf2359b4d2f5761ddd57727c807e8d2",
+        ("wht", 2):
+            "0a3d7a8053de4c509b1842976869c779fd37abf99171ca9bd2011fafcb2e510b",
+    }
+    for (transform, seed), digest in pinned.items():
+        r = qr_in_precision(_half_sketch(3000, 48, 1e2, seed, transform),
+                            BINARY16)
+        assert hashlib.sha256(r.tobytes()).hexdigest() == digest
+
+
+def test_qr_in_precision_half_collapse_is_pinned_at_workload_shape():
+    # the collapsing binary16 build of a 3000 x 48, kappa 1e6 problem
+    # stops at the same reflector as recorded
+    expected = {"dct2": "reflector 29 norm underflowed at working precision",
+                "wht": "reflector 30 norm underflowed at working precision"}
+    for transform, message in expected.items():
+        a = _half_sketch(3000, 48, 1e6, seed=2, transform=transform)
+        with pytest.raises(RankDeficient) as exc:
+            qr_in_precision(a, BINARY16)
+        assert str(exc.value) == message

@@ -173,6 +173,16 @@ def test_wht_half_sketch_matches_pinned_digests():
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
+def test_dct_half_sketch_matches_pinned_digest():
+    """The float16 DCT-II sketch of 3000 rows with 144 sampled, bit for
+    bit as recorded."""
+    a = stream(7, 3).standard_normal((3000, 48)).astype(np.float16)
+    out = apply_sketch(make_sketch(3000, 144, transform="dct2", seed=7), a)
+    assert out.dtype == np.float16 and out.shape == (144, 48)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "771c5e58c5afab341cbf25cd5d0b5e95d1de4267f95f2629b0f70db6e8961ef9")
+
+
 def test_wht_pads_to_power_of_two():
     op = make_sketch(3, 2, transform="wht", seed=0)
     assert op.m_pad == 4
