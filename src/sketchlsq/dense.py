@@ -5,9 +5,10 @@ condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
 raise the package's typed errors and compute in the common dtype of their
 inputs (binary32 stays binary32; binary16 is promoted to binary32).
 Two hand-written kernels remain.  householder_reduce is the one binary16
-kernel: it rounds every scalar operation to float16, as LAPACK cannot,
-and returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel,
-is kept as an independent reference for the tests.
+kernel: it carries binary16 values in float32 and rounds the result of
+every scalar operation to binary16 (_round_half), as LAPACK cannot, and
+returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel, is
+kept as an independent reference for the tests.
 """
 
 import math
@@ -70,12 +71,53 @@ def _as_matrix(a, name="a"):
     return arr
 
 
-def _pairwise_sum(x):
-    # Deterministic binary tree over axis 0; one rounded add per element
-    # per level, so float16 input stays float16 throughout.
+# Arrays smaller than this round to binary16 by numpy's float16 cast; larger
+# ones by the carry trick, whose dozen ufunc calls cost more on small arrays.
+_ROUND_HALF_MIN_SIZE = 1024
+_FLOAT32_EXPONENT = np.uint32(0x7F800000)
+
+
+def _round_half(x):
+    """Round a float32 array in place to the nearest binary16 values.
+
+    Round to nearest, ties to even, as numpy's float16 cast does, bit for
+    bit: subnormals, -0 and overflow to +-inf included; the values stay in
+    float32.  Large arrays add and subtract c, which has the sign of x and
+    the exponent of x (at least that of 2^-14, the binary16 normal floor)
+    plus 13, so float32 rounding drops exactly the bits binary16 lacks.
+    Scaling by 2^112 and back is exact, except that it sends what rounded
+    past 65504 to +-inf.  As float32 carries the result of a binary16
+    + - * / or sqrt with 24 >= 2 * 11 + 2 bits, rounding it here gives the
+    binary16 operation's result.  Returns x.
+    """
+    if x.size < _ROUND_HALF_MIN_SIZE:
+        x[...] = x.astype(np.float16)
+        return x
+    c = x.view(np.uint32) & _FLOAT32_EXPONENT
+    np.maximum(c, np.uint32(113 << 23), out=c)
+    c += np.uint32(13 << 23)
+    c = c.view(np.float32)
+    np.copysign(c, x, out=c)
+    x += c
+    x -= c
+    x *= np.float32(2.0 ** 112)
+    x *= np.float32(2.0 ** -112)
+    # a value that rounded to zero keeps the sign of x, which c holds
+    return np.copysign(x, c, out=x)
+
+
+def _unrounded(x):
+    # The rounding argument of a kernel that computes in the dtype of x.
+    return x
+
+
+def _pairwise_sum(x, rounding=_unrounded):
+    # Deterministic binary tree over axis 0, one add per element per level,
+    # each level rounded in place: with _round_half a float32 carry of
+    # binary16 values adds in binary16 throughout.
     while x.shape[0] > 1:
         half = x.shape[0] // 2
-        y = x[0:2 * half:2] + x[1:2 * half:2]
+        y = rounding(x[0:2 * half:2] + x[1:2 * half:2])
         if x.shape[0] % 2:
             y = np.concatenate([y, x[2 * half:]], axis=0)
         x = y
@@ -85,10 +127,11 @@ def _pairwise_sum(x):
 def householder_reduce(a):
     """Triangular factor of a by Householder reflections in binary16.
 
-    The emulated binary16 kernel: every scalar operation is a numpy float16
-    operation, rounded to nearest, and every inner product is a pairwise
-    tree of float16 adds (_pairwise_sum), which LAPACK cannot do.  Q is
-    never formed.
+    The emulated binary16 kernel: values are carried in float32 and every
+    scalar operation's result is rounded to binary16 (_round_half), which
+    gives the bits of the binary16 operation, and every inner product is a
+    pairwise tree of binary16 adds (_pairwise_sum), which LAPACK cannot
+    do.  Q is never formed.
 
     Parameters
     ----------
@@ -108,30 +151,34 @@ def householder_reduce(a):
     underflows to zero in the working precision) raises RankDeficient.
     """
     n = a.shape[1]
-    w = np.array(a, dtype=np.float16, order="F", copy=True)
-    two = np.float16(2)
+    w = np.asarray(a, dtype=np.float16).astype(np.float32, order="F")
     for j in range(n):
-        v = w[j:, j].copy()
-        norm = np.sqrt(_pairwise_sum(v * v))
+        col = w[j:, j:j + 1]
+        norm = _round_half(np.sqrt(
+            _pairwise_sum(_round_half(col * col), _round_half)))
         if norm == 0:
             raise RankDeficient(f"pivot column {j} is zero at working precision")
-        alpha = -norm if v[0] >= 0 else norm
-        v[0] = v[0] - alpha
-        vtv = _pairwise_sum(v * v)
+        alpha = -norm if w[j, j] >= 0 else norm
+        _round_half(np.subtract(w[j, j], alpha, out=w[j, j:j + 1]))
+        # v.v and v^T W in one tree: the trees are per column
+        sums = _pairwise_sum(_round_half(col * w[j:, j:]), _round_half)
+        vtv = sums[:1]
         if vtv == 0:
             raise RankDeficient(f"reflector {j} vanished at working precision")
-        tau = two / vtv
+        tau = _round_half(np.float32(2) / vtv)
         # vtv can underflow so far that 2/vtv leaves the working range;
         # that is a rank collapse at this precision, not a true overflow
         if not np.isfinite(tau):
             raise RankDeficient(
                 f"reflector {j} norm underflowed at working precision")
         if j + 1 < n:
-            t = tau * _pairwise_sum(v[:, None] * w[j:, j + 1:])
-            w[j:, j + 1:] -= v[:, None] * t[None, :]
-        w[j, j] = alpha
+            t = _round_half(tau * sums[1:])
+            trailing = w[j:, j + 1:]
+            trailing -= _round_half(col * t[None, :])
+            _round_half(trailing)
+        w[j, j] = alpha[0]
         w[j + 1:, j] = 0
-    return w[:n].copy(order="F")
+    return w[:n].astype(np.float16, order="F")
 
 
 def _tall_matrix(a):

@@ -1,10 +1,12 @@
 """Floating-point precision emulation and automatic selection.
 
-binary32 and binary64 run natively (LAPACK).  binary16 is emulated on top
-of numpy float16, whose elementwise operations round to nearest (ties to
-even) after every scalar operation; reductions that numpy would otherwise
-accumulate in higher precision are replaced by explicit pairwise trees of
-float16 adds.  The one hand-written binary16 kernel is
+binary32 and binary64 run natively (LAPACK).  binary16 is emulated: its
+values are carried in float32, and the result of every scalar operation
+is rounded to the nearest binary16 value (ties to even) by
+dense._round_half.  float32 has enough bits (24 >= 2 * 11 + 2) that this
+gives the bits of the binary16 operation for + - * / and sqrt.  Inner
+products are explicit pairwise trees of binary16 adds, not numpy's
+reductions.  The one hand-written binary16 kernel is
 dense.householder_reduce, behind qr_in_precision, the one low-precision
 factorization, which returns R alone.
 

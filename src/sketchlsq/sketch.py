@@ -18,7 +18,7 @@ import numpy as np
 from scipy.fft import dct
 
 from . import rng
-from .dense import _as_matrix, condition_diagnostics
+from .dense import _as_matrix, _round_half, _unrounded, condition_diagnostics
 from .errors import DimensionMismatch, NotOrthonormal
 
 DCT2 = "dct2"
@@ -118,18 +118,21 @@ def sketch_from_descriptor(desc):
                        int(desc["seed"]))
 
 
-def _wht_rows(x, m, rows):
+def _wht_rows(x, m, rows, rounding=_unrounded):
     """Rows `rows` of the orthonormal Walsh-Hadamard transform of x.
 
     x has a power-of-two row count, and its rows from m on are +0 (the
     padding); x is overwritten.  The radix-2 butterflies are the full
-    transform's: every add/sub is one rounded elementwise operation in the
-    dtype of x, then one normalizing multiply, so float16 input is
-    per-operation float16 throughout and each returned row is bitwise the
-    full transform's.  Two kinds of butterfly are skipped.  Blocks wholly
-    in the padding would only add zeros, so they are left at +0.  In the
-    last levels, where the requested rows depend on at most a quarter of
-    all rows, only the butterflies those rows read are computed.
+    transform's: every add/sub is one elementwise operation in the dtype
+    of x, then one normalizing multiply, so each returned row is bitwise
+    the full transform's.  rounding rounds every result in place, the
+    normalizing constant included; apply_sketch carries
+    binary16 values in float32 with dense._round_half, which gives the
+    bits of binary16 arithmetic.  Two kinds of butterfly are skipped.
+    Blocks wholly in the padding would only add zeros, so they are left
+    at +0.  In the last levels, where the requested rows depend on at most
+    a quarter of all rows, only the butterflies those rows read are
+    computed.
     """
     n = x.shape[0]
     # Needed butterflies of the last levels, from the output back: output
@@ -154,26 +157,30 @@ def _wht_rows(x, m, rows):
         dst = y[:live].reshape(-1, 2, span, *x.shape[1:])
         np.add(src[:, 0], src[:, 1], out=dst[:, 0])
         np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        rounding(y[:live])
         x, y = y, x
         span *= 2
     for h, tops in reversed(sparse):
         top = x[tops]
         bot = x[tops | h]
-        x[tops] = top + bot
-        x[tops | h] = top - bot
-    return x[rows] * x.dtype.type(1.0 / math.sqrt(n))
+        x[tops] = rounding(top + bot)
+        x[tops | h] = rounding(top - bot)
+    scale = rounding(np.full(1, 1.0 / math.sqrt(n), dtype=x.dtype))
+    return rounding(x[rows] * scale)
 
 
 def apply_sketch(op, a):
     """Apply the sketch to a, returning the d x n sketched matrix.
 
-    All arithmetic happens in the dtype of a, with one exception: the
-    DCT-II of float16 input is computed in float32 and rounded back to
-    float16 (no per-operation half-precision DCT is available), while the
-    Walsh-Hadamard path is per-operation float16 end to end.  The
-    Walsh-Hadamard path computes only the butterflies the d sampled rows
-    read, bit-identical to sampling the full transform; the DCT-II is
-    computed in full and then sampled.  Only the sampled rows are scaled.
+    Arithmetic happens in the dtype of a.  binary16 is emulated: float16
+    input is carried in float32, where the sign flips are exact, and the
+    Walsh-Hadamard butterflies and the final scaling round every result
+    to binary16 (dense._round_half), bit for bit binary16 arithmetic.
+    The DCT-II of float16 input is computed in float32 and only its
+    sampled rows are rounded to binary16 (no per-operation half-precision
+    DCT is available).  The Walsh-Hadamard path computes only the
+    butterflies the d sampled rows read, bit-identical to sampling the
+    full transform.  Only the sampled rows are scaled.
 
     Raises
     ------
@@ -184,20 +191,21 @@ def apply_sketch(op, a):
     if a.shape[0] != op.m:
         raise DimensionMismatch(f"operator built for {op.m} rows, got {a.shape[0]}")
     dtype = a.dtype
+    half = dtype == np.float16
+    carry = np.dtype(np.float32) if half else dtype
+    rounding = _round_half if half else _unrounded
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if op.m_pad == op.m:
-            work = a * op.signs[:, None].astype(dtype)
-        else:
-            work = np.zeros((op.m_pad, a.shape[1]), dtype=dtype)
-            work[:op.m] = a * op.signs[:op.m, None].astype(dtype)
+        signed = (a.astype(carry, copy=False)
+                  * op.signs[:op.m, None].astype(carry))
         if op.transform == WHT:
-            sampled = _wht_rows(work, op.m, op.sampled_rows)
-        elif dtype == np.float16:
-            sampled = dct(work.astype(np.float32), type=2, axis=0,
-                          norm="ortho").astype(np.float16)[op.sampled_rows]
+            work = np.zeros((op.m_pad, a.shape[1]), dtype=carry)
+            work[:op.m] = signed
+            sampled = _wht_rows(work, op.m, op.sampled_rows, rounding)
         else:
-            sampled = dct(work, type=2, axis=0, norm="ortho")[op.sampled_rows]
-        return sampled * dtype.type(math.sqrt(op.m_pad / op.d))
+            sampled = rounding(
+                dct(signed, type=2, axis=0, norm="ortho")[op.sampled_rows])
+        sampled *= carry.type(dtype.type(math.sqrt(op.m_pad / op.d)))
+        return rounding(sampled).astype(dtype, copy=False)
 
 
 def sample_size_lower_bound(params):

@@ -19,6 +19,8 @@ from sketchlsq import (
     triangular_with_condition,
 )
 from sketchlsq.dense import (
+    _ROUND_HALF_MIN_SIZE,
+    _round_half,
     cholesky_factor,
     cholesky_solve,
     jacobi_singular_values,
@@ -254,3 +256,50 @@ def test_cholesky_rejects_nan_pivot():
         cholesky_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
         cholesky_factor(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
+def _half_operands():
+    # +-0, subnormals, the normal floor, values around 1, values near the
+    # 65504 top, and random finite values of both signs: 64 in all
+    bits = [0x0000, 0x8000, 0x0001, 0x8001, 0x0002, 0x0003, 0x00FF, 0x8155,
+            0x0200, 0x03FF, 0x83FF, 0x0400, 0x8400, 0x0401, 0x07FF, 0x3C00,
+            0xBC00, 0x3C01, 0x3BFF, 0x4000, 0x3800, 0x4200, 0x2E66, 0xB4CD,
+            0x3555, 0x4248, 0x4170, 0x5BFF, 0x5C00, 0x6C00, 0x7800, 0x7A00,
+            0x7BFE, 0x7BFF, 0xFBFF, 0xF800, 0x6801, 0x1400, 0x0C00, 0x9000]
+    draws = stream(12, 3).integers(0, 0x7C00, 24)
+    signs = stream(13, 3).integers(0, 2, 24) << 15
+    bits = np.array(bits + list(draws | signs), dtype=np.uint16)
+    return bits.view(np.float16)
+
+
+def _assert_rounds_as_half(carry, want):
+    """_round_half of a float32 carry equals the float16 result bit for
+    bit, through the trick on the whole array and through the cast on
+    pieces smaller than the cut-over."""
+    want = want.astype(np.float32).view(np.uint32)
+    whole = carry.copy()
+    assert whole.size >= _ROUND_HALF_MIN_SIZE
+    assert np.array_equal(_round_half(whole).view(np.uint32), want)
+    pieces = carry.ravel().copy()
+    for start in range(0, pieces.size, _ROUND_HALF_MIN_SIZE - 1):
+        _round_half(pieces[start:start + _ROUND_HALF_MIN_SIZE - 1])
+    assert np.array_equal(pieces.view(np.uint32), want.ravel())
+
+
+def test_round_half_matches_float16_arithmetic_exhaustively():
+    """Every finite float16 value against 64 operands: the float32 result
+    of + - * / (and sqrt of every value), rounded by _round_half, is the
+    float16 operation's result bit for bit, -0, subnormals, inf and NaN
+    included."""
+    every = np.arange(0x10000, dtype=np.uint32).astype(np.uint16)
+    every = every.view(np.float16)
+    every = every[np.isfinite(every)]
+    assert every.size == 63488
+    ops = _half_operands()
+    x16, y16 = every[:, None], ops[None, :]
+    x32, y32 = x16.astype(np.float32), y16.astype(np.float32)
+    with np.errstate(all="ignore"):
+        for op in (np.add, np.subtract, np.multiply, np.divide):
+            _assert_rounds_as_half(op(x32, y32), op(x16, y16))
+        _assert_rounds_as_half(np.sqrt(every.astype(np.float32)),
+                               np.sqrt(every))
