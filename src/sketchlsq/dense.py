@@ -72,7 +72,7 @@ def _as_matrix(a, name="a"):
 
 
 # Arrays smaller than this round to binary16 by numpy's float16 cast; larger
-# ones by the carry trick, whose dozen ufunc calls cost more on small arrays.
+# ones by the carry trick, whose nine ufunc calls cost more on small arrays.
 _ROUND_HALF_MIN_SIZE = 1024
 _FLOAT32_EXPONENT = np.uint32(0x7F800000)
 

@@ -126,12 +126,12 @@ def _wht_rows(x, m, rows, rounding=_unrounded):
     transform's: every add/sub is one elementwise operation in the dtype
     of x, then one normalizing multiply, so each returned row is bitwise
     the full transform's.  rounding rounds every result in place, the
-    normalizing constant included; apply_sketch carries
-    binary16 values in float32 with dense._round_half, which gives the
-    bits of binary16 arithmetic.  Two kinds of butterfly are skipped.
-    Blocks wholly in the padding would only add zeros, so they are left
-    at +0.  In the last levels, where the requested rows depend on at most
-    a quarter of all rows, only the butterflies those rows read are
+    normalizing constant included; apply_sketch carries binary16 values
+    in float32 and passes dense._round_half, which gives the bits of
+    binary16 arithmetic.  Two kinds of butterfly are skipped.  Blocks
+    wholly in the padding would only add zeros, so they are left at +0.
+    In the last levels, where the requested rows depend on at most a
+    quarter of all rows, only the butterflies those rows read are
     computed.
     """
     n = x.shape[0]
