@@ -1,5 +1,10 @@
 """Tests for the dense factorization and estimation kernels."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -242,6 +247,62 @@ def test_qr_r_factor_is_the_householder_qr_factor():
         qr_r_factor(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         qr_r_factor(np.ones((2, 3)))
+
+
+def _sha256(x):
+    return hashlib.sha256(x.tobytes()).hexdigest()
+
+
+# sha256 of (Q, R) of the thin QR of stream(41, 3)'s 2000 x 32 Gaussian in
+# each dtype (binary16 is factored in binary32), as recorded with OpenBLAS
+# 0.3.31 on x86-64.
+_PINNED_QR = {
+    np.float64: (
+        "41aaf20b29241021f977c40d84fe7e4b5504992573b8a869e7e3fe88099dd00e",
+        "c9b450c0baabe75153a0038b220b5b85670a60d21387af0b03ba7538552e2e6a"),
+    np.float32: (
+        "320e17e023cabbcc9d9e611ddedbd388f87d0a4b4685ec146b6403386b5a9b80",
+        "f2303697f8089eac611c22127ff2624a6dc95bf121fafbf68926076dcf8d63c0"),
+    np.float16: (
+        "1e25e447e79c9047d788ff2740195dd56cfffb19a36921d3de925e8ade592948",
+        "840dee92746d1f6c670a1925aeed83f00d65d9583072a896284a7f8869d62459"),
+}
+
+
+def test_qr_factors_match_pinned_digests():
+    """householder_qr's Q and R and qr_r_factor's R, bit for bit as
+    recorded, for C- and Fortran-ordered input.  R is C-ordered: LAPACK's
+    triangular solve rounds differently on the other layout."""
+    a = stream(41, 3).standard_normal((2000, 32))
+    for dtype, (q_digest, r_digest) in _PINNED_QR.items():
+        for order in "CF":
+            x = np.asarray(a.astype(dtype), order=order)
+            fac = householder_qr(x)
+            r = qr_r_factor(x)
+            assert _sha256(fac.q) == q_digest and _sha256(fac.r) == r_digest
+            assert _sha256(r) == r_digest
+            assert fac.r.flags.c_contiguous and r.flags.c_contiguous
+
+
+def test_blocked_qr_matches_pinned_digests():
+    """A 300 x 160 QR takes LAPACK's blocked geqrf path, whose bits depend
+    on the BLAS thread count, so it runs in a child on one thread."""
+    code = ("import hashlib; from sketchlsq.dense import householder_qr, "
+            "qr_r_factor; from sketchlsq.rng import stream; "
+            "a = stream(42, 3).standard_normal((300, 160)); "
+            "f = householder_qr(a); "
+            "print(*(hashlib.sha256(x.tobytes()).hexdigest() "
+            "for x in (f.q, f.r, qr_r_factor(a))))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    r_digest = "d589f2e77267486046a27d43e3c344be9aa356d56a198451c321d953c9e2ddfd"
+    assert out == [
+        "65beb660e2402c76baef4377fc71e6cd02665ffbe1ecc2182fef02d085d3b84b",
+        r_digest, r_digest]
 
 
 def test_lu_solve_pivot_below_threshold_raises():
