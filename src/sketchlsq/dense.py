@@ -195,8 +195,35 @@ def _check_diagonal(r, error):
         raise error(f"zero diagonal entry at index {zero[0]}")
 
 
+def _lapack_in_place(name, a, *args):
+    # LAPACK routine `name` on the Fortran array a, which it overwrites, with
+    # the optimal workspace its query returns (what scipy.linalg.qr passes).
+    routine, = linalg.get_lapack_funcs((name,), (a,))
+    lwork = int(routine(a, *args, lwork=-1, overwrite_a=True)[-2][0].real)
+    *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    return out
+
+
+def _geqrf(a):
+    # geqrf in place on one owned Fortran copy of the tall matrix a, in its
+    # LAPACK dtype (binary16 is promoted to binary32).  Returns the packed
+    # factorization, tau, and the n x n triangular factor r.
+    a = _tall_matrix(a)
+    qr = np.array(a, dtype=np.promote_types(a.dtype, np.float32), order="F")
+    tau = np.zeros(0, qr.dtype)
+    if qr.size:  # LAPACK rejects the leading dimension of a 0 x 0 array
+        qr, tau = _lapack_in_place("geqrf", qr)
+    r = np.triu(qr[:qr.shape[1]])
+    _check_diagonal(r, RankDeficient)
+    return qr, tau, r
+
+
 def householder_qr(a):
-    """Thin QR of a tall matrix by LAPACK (scipy.linalg.qr, economic mode).
+    """Thin QR of a tall matrix by LAPACK geqrf and orgqr.
+
+    Both run in place on one Fortran copy of a, which is left unchanged.
 
     Parameters
     ----------
@@ -216,15 +243,17 @@ def householder_qr(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    q, r = linalg.qr(_tall_matrix(a), mode="economic", check_finite=False)
-    _check_diagonal(r, RankDeficient)
-    return QRFactors(q=q, r=r)
+    qr, tau, r = _geqrf(a)
+    if qr.size:
+        qr, = _lapack_in_place("orgqr", qr, tau)
+    return QRFactors(q=qr, r=r)
 
 
 def qr_r_factor(a):
     """Triangular factor alone of the thin QR of a tall matrix, by LAPACK.
 
-    Same r as householder_qr(a).r without forming q.
+    Same r as householder_qr(a).r: geqrf in place on one Fortran copy of
+    a, without forming q.
 
     Raises
     ------
@@ -233,10 +262,7 @@ def qr_r_factor(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    a = _tall_matrix(a)
-    r = linalg.qr(a, mode="r", check_finite=False)[0][:a.shape[1]]
-    _check_diagonal(r, RankDeficient)
-    return r
+    return _geqrf(a)[2]
 
 
 def _check_rhs(n, rhs):

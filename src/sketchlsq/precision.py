@@ -102,7 +102,8 @@ def round_to_precision(a, level):
     a = np.asarray(a)
     with np.errstate(over="ignore"):
         data = a.astype(level.dtype)
-    overflowed = bool((np.isinf(data) & np.isfinite(a)).any())
+    inf = np.isinf(data)
+    overflowed = bool(inf.any() and np.isfinite(a[inf]).any())
     return RoundedMatrix(data=data, overflowed=overflowed)
 
 

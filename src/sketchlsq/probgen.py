@@ -13,10 +13,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import rng
-from .dense import qr_r_factor
+from .dense import householder_qr, qr_r_factor
 from .errors import DegenerateResidual
 from .mmio import read_matrix, read_vector, write_matrix
 
@@ -49,11 +48,14 @@ class LeastSquaresProblem:
 
 
 def random_orthogonal_columns(m, k, seed):
-    """Orthonormal m x k columns: LAPACK's thin QR of a seeded Gaussian."""
+    """Orthonormal m x k columns: the Q of a seeded Gaussian's thin QR.
+
+    householder_qr factors the Gaussian in place on its one Fortran copy.
+    """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     g = rng.stream(seed, rng.LANE_GAUSSIAN).standard_normal((m, k))
-    return qr(g, mode="economic", check_finite=False)[0]
+    return householder_qr(g).q
 
 
 def triangular_with_condition(n, kappa, seed):

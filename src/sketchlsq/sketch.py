@@ -194,14 +194,15 @@ def apply_sketch(op, a):
     half = dtype == np.float16
     carry = np.dtype(np.float32) if half else dtype
     rounding = _round_half if half else _unrounded
+    signs = op.signs[:op.m, None].astype(carry)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        signed = (a.astype(carry, copy=False)
-                  * op.signs[:op.m, None].astype(carry))
         if op.transform == WHT:
+            # the sign flips land straight in the zero-padded buffer
             work = np.zeros((op.m_pad, a.shape[1]), dtype=carry)
-            work[:op.m] = signed
+            np.multiply(a, signs, out=work[:op.m])
             sampled = _wht_rows(work, op.m, op.sampled_rows, rounding)
         else:
+            signed = a.astype(carry, copy=False) * signs
             sampled = rounding(
                 dct(signed, type=2, axis=0, norm="ortho")[op.sampled_rows])
         sampled *= carry.type(dtype.type(math.sqrt(op.m_pad / op.d)))

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,44 @@ def test_blocked_qr_matches_pinned_digests():
     assert out == [
         "65beb660e2402c76baef4377fc71e6cd02665ffbe1ecc2182fef02d085d3b84b",
         r_digest, r_digest]
+
+
+def test_qr_and_diagnostics_leave_the_input_unchanged():
+    """The LAPACK QR overwrites its own copy, never the caller's array,
+    whatever its layout or dtype."""
+    a = stream(43, 3).standard_normal((60, 7))
+    for x in (a, np.asfortranarray(a), a.astype(np.float16),
+              np.asfortranarray(a.astype(np.float32))):
+        before = x.copy(order="K")
+        householder_qr(x)
+        qr_r_factor(x)
+        condition_diagnostics(x)
+        assert np.array_equal(x, before)
+        assert x.flags.f_contiguous == before.flags.f_contiguous
+
+
+def test_qr_of_empty_inputs_keeps_the_empty_shapes():
+    for m in (0, 5):
+        fac = householder_qr(np.zeros((m, 0)))
+        assert fac.q.shape == (m, 0) and fac.r.shape == (0, 0)
+        assert qr_r_factor(np.zeros((m, 0))).shape == (0, 0)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_qr_allocates_one_copy_of_the_input():
+    """geqrf and orgqr run in place: the peak traced allocation is the one
+    m x n working copy, not the three a wrapper's copies and triu add."""
+    a = stream(44, 3).standard_normal((2000, 32))
+    for fn in (qr_r_factor, householder_qr):
+        assert _peak_bytes(fn, a) <= 1.1 * a.nbytes, fn.__name__
 
 
 def test_lu_solve_pivot_below_threshold_raises():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ def test_generated_problems_match_pinned_digests():
         for x in (p.a, p.b, p.x_star):
             h.update(x.tobytes())
         assert h.hexdigest() == digest
+
+
+def test_random_orthogonal_columns_allocates_two_m_by_k_arrays():
+    """The Gaussian and the one copy that LAPACK turns into Q in place."""
+    tracemalloc.start()
+    try:
+        random_orthogonal_columns(2000, 32, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 2000 * 32 * 8
 
 
 def test_archive_roundtrip_is_bitwise(tmp_path):
