@@ -3,7 +3,10 @@
 QR, triangular, LU and Cholesky solves and the singular values behind
 condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
 raise the package's typed errors and compute in the common dtype of their
-inputs (binary32 stays binary32; binary16 is promoted to binary32).
+inputs (binary32 stays binary32; binary16 is promoted to binary32).  QR
+calls geqrf and orgqr directly, in place on one Fortran copy of the input
+(_geqrf), rather than through scipy.linalg.qr, which copies an m x n
+input twice more and takes the triangle of all of it.
 Two hand-written kernels remain.  householder_reduce is the one binary16
 kernel: it carries binary16 values in float32 and rounds the result of
 every scalar operation to binary16 (_round_half), as LAPACK cannot, and
@@ -221,9 +224,7 @@ def _geqrf(a):
 
 
 def householder_qr(a):
-    """Thin QR of a tall matrix by LAPACK geqrf and orgqr.
-
-    Both run in place on one Fortran copy of a, which is left unchanged.
+    """Thin QR of a tall matrix by LAPACK geqrf/orgqr, in place on one copy.
 
     Parameters
     ----------

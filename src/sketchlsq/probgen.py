@@ -48,10 +48,7 @@ class LeastSquaresProblem:
 
 
 def random_orthogonal_columns(m, k, seed):
-    """Orthonormal m x k columns: the Q of a seeded Gaussian's thin QR.
-
-    householder_qr factors the Gaussian in place on its one Fortran copy.
-    """
+    """Orthonormal m x k columns: householder_qr's Q of a seeded Gaussian."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     g = rng.stream(seed, rng.LANE_GAUSSIAN).standard_normal((m, k))

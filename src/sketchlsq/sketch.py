@@ -197,7 +197,6 @@ def apply_sketch(op, a):
     signs = op.signs[:op.m, None].astype(carry)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if op.transform == WHT:
-            # the sign flips land straight in the zero-padded buffer
             work = np.zeros((op.m_pad, a.shape[1]), dtype=carry)
             np.multiply(a, signs, out=work[:op.m])
             sampled = _wht_rows(work, op.m, op.sampled_rows, rounding)
