@@ -4,9 +4,9 @@ QR, triangular, LU and Cholesky solves and the singular values behind
 condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
 raise the package's typed errors and compute in the common dtype of their
 inputs (binary32 stays binary32; binary16 is promoted to binary32).  QR
-calls geqrf and orgqr directly, in place on one Fortran copy of the input
-(_geqrf), rather than through scipy.linalg.qr, which copies an m x n
-input twice more and takes the triangle of all of it.
+runs geqrf and orgqr in place (overwrite_a) on one owned Fortran copy of
+the input (_fortran_copy), so scipy.linalg.qr makes no m x n copy of its
+own, and the R-only QR takes the triangle of the n x n top alone.
 Two hand-written kernels remain.  householder_reduce is the one binary16
 kernel: it carries binary16 values in float32 and rounds the result of
 every scalar operation to binary16 (_round_half), as LAPACK cannot, and
@@ -198,29 +198,11 @@ def _check_diagonal(r, error):
         raise error(f"zero diagonal entry at index {zero[0]}")
 
 
-def _lapack_in_place(name, a, *args):
-    # LAPACK routine `name` on the Fortran array a, which it overwrites, with
-    # the optimal workspace its query returns (what scipy.linalg.qr passes).
-    routine, = linalg.get_lapack_funcs((name,), (a,))
-    lwork = int(routine(a, *args, lwork=-1, overwrite_a=True)[-2][0].real)
-    *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {name}")
-    return out
-
-
-def _geqrf(a):
-    # geqrf in place on one owned Fortran copy of the tall matrix a, in its
-    # LAPACK dtype (binary16 is promoted to binary32).  Returns the packed
-    # factorization, tau, and the n x n triangular factor r.
+def _fortran_copy(a):
+    # One owned Fortran copy of the tall matrix a in its LAPACK dtype
+    # (binary16 is promoted to binary32), for linalg.qr to overwrite.
     a = _tall_matrix(a)
-    qr = np.array(a, dtype=np.promote_types(a.dtype, np.float32), order="F")
-    tau = np.zeros(0, qr.dtype)
-    if qr.size:  # LAPACK rejects the leading dimension of a 0 x 0 array
-        qr, tau = _lapack_in_place("geqrf", qr)
-    r = np.triu(qr[:qr.shape[1]])
-    _check_diagonal(r, RankDeficient)
-    return qr, tau, r
+    return np.array(a, dtype=np.promote_types(a.dtype, np.float32), order="F")
 
 
 def householder_qr(a):
@@ -244,17 +226,17 @@ def householder_qr(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    qr, tau, r = _geqrf(a)
-    if qr.size:
-        qr, = _lapack_in_place("orgqr", qr, tau)
-    return QRFactors(q=qr, r=r)
+    q, r = linalg.qr(_fortran_copy(a), overwrite_a=True, mode="economic",
+                     check_finite=False)
+    _check_diagonal(r, RankDeficient)
+    return QRFactors(q=q, r=r)
 
 
 def qr_r_factor(a):
     """Triangular factor alone of the thin QR of a tall matrix, by LAPACK.
 
     Same r as householder_qr(a).r: geqrf in place on one Fortran copy of
-    a, without forming q.
+    a, without forming q; r is the triangle of the n x n top alone.
 
     Raises
     ------
@@ -263,7 +245,10 @@ def qr_r_factor(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    return _geqrf(a)[2]
+    r = linalg.qr(_fortran_copy(a), overwrite_a=True, mode="raw",
+                  check_finite=False)[1]
+    _check_diagonal(r, RankDeficient)
+    return r
 
 
 def _check_rhs(n, rhs):

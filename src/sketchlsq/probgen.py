@@ -13,9 +13,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from . import rng
-from .dense import householder_qr, qr_r_factor
+from .dense import qr_r_factor
 from .errors import DegenerateResidual
 from .mmio import read_matrix, read_vector, write_matrix
 
@@ -48,11 +49,15 @@ class LeastSquaresProblem:
 
 
 def random_orthogonal_columns(m, k, seed):
-    """Orthonormal m x k columns: householder_qr's Q of a seeded Gaussian."""
+    """Orthonormal m x k columns: the thin QR's Q of a seeded Gaussian.
+
+    LAPACK geqrf/orgqr run in place on one Fortran copy of the Gaussian.
+    """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     g = rng.stream(seed, rng.LANE_GAUSSIAN).standard_normal((m, k))
-    return householder_qr(g).q
+    return linalg.qr(np.asfortranarray(g), overwrite_a=True, mode="economic",
+                     check_finite=False)[0]
 
 
 def triangular_with_condition(n, kappa, seed):

@@ -1,11 +1,11 @@
 """Alternate perfbench runs between a parent checkout and this one.
 
-    python3 tools/bench_pairs.py --parent DIR --workload NAME --out FILE
+    python3 tools/bench_pairs.py --parent DIR --out FILE
 
-Pair k runs ``perfbench/run.py --seed k --trace 0`` in both checkouts, the
-parent first in odd pairs.  Recorded: the machine and commits, each run's
-end-to-end metrics, exit code and minor page faults per op (RUSAGE_CHILDREN,
-set-up included), and per side each metric's median and quartiles.
+Per workload of BENCHMARK.json, pair k = 1..10 runs ``perfbench/run.py --seed
+k --trace 0`` for run_seconds in both checkouts, the parent first in odd pairs.
+Recorded: each side's machine record, each run's metrics, exit code and minor
+faults per op (RUSAGE_CHILDREN, set-up included), and per side the quartiles.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 QUARTILES = ("q1", "median", "q3")
+PAIRS = 10
 
 
 def parse(stdout):
@@ -28,13 +29,12 @@ def parse(stdout):
     return json.loads(machine), json.loads(lines[-1])
 
 
-def run(side, args, workload, seed):
+def run(cwd, workload, seed, seconds):
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(args.seconds), "--trace", "0"],
-        cwd=args.parent if side == "parent" else ROOT, capture_output=True,
-        text=True)
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=cwd, capture_output=True, text=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     machine, result = parse(proc.stdout)
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
@@ -57,19 +57,19 @@ def summarize(pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=60)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    record = {"seconds": args.seconds, "commits": {}}
-    for workload in args.workload:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    cwd = {"parent": args.parent, "change": ROOT}
+    record = {"seconds": bench["run_seconds"], "machine": {}}
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             pair = {"seed": seed}
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                record["machine"], pair[side] = run(side, args, workload, seed)
-                record["commits"][side] = record["machine"]["git_commit"]
+                record["machine"][side], pair[side] = run(
+                    cwd[side], workload, seed, record["seconds"])
             pairs.append(pair)
         record[workload] = {"pairs": pairs, "summary": summarize(pairs)}
         with open(args.out, "w") as fh:
