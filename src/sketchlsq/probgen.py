@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import qr
 
 from . import rng
 from .dense import qr_r_factor
@@ -49,15 +49,13 @@ class LeastSquaresProblem:
 
 
 def random_orthogonal_columns(m, k, seed):
-    """Orthonormal m x k columns: the thin QR's Q of a seeded Gaussian.
-
-    LAPACK geqrf/orgqr run in place on one Fortran copy of the Gaussian.
-    """
+    """Orthonormal m x k columns: LAPACK's thin QR of a seeded Gaussian,
+    run in place on one Fortran copy of it."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     g = rng.stream(seed, rng.LANE_GAUSSIAN).standard_normal((m, k))
-    return linalg.qr(np.asfortranarray(g), overwrite_a=True, mode="economic",
-                     check_finite=False)[0]
+    return qr(np.asfortranarray(g), overwrite_a=True, mode="economic",
+              check_finite=False)[0]
 
 
 def triangular_with_condition(n, kappa, seed):
