@@ -9,7 +9,8 @@ the input (_fortran_copy), so scipy.linalg.qr makes no m x n copy of its
 own, and the R-only QR takes the triangle of the n x n top alone.
 Two hand-written kernels remain.  householder_reduce is the one binary16
 kernel: it carries binary16 values in float32 and rounds the result of
-every scalar operation to binary16 (_round_half), as LAPACK cannot, and
+every scalar operation to binary16 (_round_half: float32 arithmetic on
+the magnitude, bit operations on the sign), as LAPACK cannot, and
 returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel, is
 kept as an independent reference for the tests.
 """
@@ -75,41 +76,52 @@ def _as_matrix(a, name="a"):
 
 
 # Arrays smaller than this round to binary16 by numpy's float16 cast; larger
-# ones by the carry trick, whose nine ufunc calls cost more on small arrays.
+# ones by the carry trick, whose eleven ufunc calls cost more on small arrays.
 _ROUND_HALF_MIN_SIZE = 1024
+_FLOAT32_SIGN = np.uint32(0x80000000)
+_FLOAT32_MAGNITUDE = np.uint32(0x7FFFFFFF)
 _FLOAT32_EXPONENT = np.uint32(0x7F800000)
 
 
-def _round_half(x):
+def _round_half(x, spare=None):
     """Round a float32 array in place to the nearest binary16 values.
 
     Round to nearest, ties to even, as numpy's float16 cast does, bit for
     bit: subnormals, -0 and overflow to +-inf included; the values stay in
-    float32.  Large arrays add and subtract c, which has the sign of x and
-    the exponent of x (at least that of 2^-14, the binary16 normal floor)
-    plus 13, so float32 rounding drops exactly the bits binary16 lacks.
+    float32.  Large arrays round |x| and put the sign bit back (round to
+    nearest even is symmetric, and |x| + c - c is never -0).  c is 2^13
+    times the power of two of |x|, at least 2^-14 (the binary16 normal
+    floor), so float32 rounding drops exactly the bits binary16 lacks.
     Scaling by 2^112 and back is exact, except that it sends what rounded
-    past 65504 to +-inf.  As float32 carries the result of a binary16
-    + - * / or sqrt with 24 >= 2 * 11 + 2 bits, rounding it here gives the
-    binary16 operation's result.  Returns x.
+    past 65504 (or any |x| >= 2^115, where c is finite) to inf.  As float32
+    carries the result of a binary16 + - * / or sqrt with 24 >= 2 * 11 + 2
+    bits, rounding it here gives the binary16 operation's result.  spare,
+    a float32 array of x's shape that may be overwritten, holds the sign
+    bits, else a new array does.  Returns x.
     """
     if x.size < _ROUND_HALF_MIN_SIZE:
         x[...] = x.astype(np.float16)
         return x
-    c = x.view(np.uint32) & _FLOAT32_EXPONENT
-    np.maximum(c, np.uint32(113 << 23), out=c)
-    c += np.uint32(13 << 23)
-    c = c.view(np.float32)
-    np.copysign(c, x, out=c)
+    bits = x.view(np.uint32)
+    sign = np.bitwise_and(
+        bits, _FLOAT32_SIGN, out=None if spare is None else spare.view(np.uint32))
+    bits &= _FLOAT32_MAGNITUDE
+    # c's exponent field plus one: one float max floors it and, as a field
+    # past 255 wraps into the sign bit, sends |x| >= 2^115 to c = 1/2
+    c_bits = bits & _FLOAT32_EXPONENT
+    c_bits += np.uint32(14 << 23)
+    c = c_bits.view(np.float32)
+    np.maximum(c, np.float32(1.0), out=c)
+    c_bits -= np.uint32(1 << 23)
     x += c
     x -= c
     x *= np.float32(2.0 ** 112)
     x *= np.float32(2.0 ** -112)
-    # a value that rounded to zero keeps the sign of x, which c holds
-    return np.copysign(x, c, out=x)
+    bits |= sign
+    return x
 
 
-def _unrounded(x):
+def _unrounded(x, spare=None):
     # The rounding argument of a kernel that computes in the dtype of x.
     return x
 
@@ -133,8 +145,9 @@ def householder_reduce(a):
     The emulated binary16 kernel: values are carried in float32 and every
     scalar operation's result is rounded to binary16 (_round_half), which
     gives the bits of the binary16 operation, and every inner product is a
-    pairwise tree of binary16 adds (_pairwise_sum), which LAPACK cannot
-    do.  Q is never formed.
+    pairwise tree of binary16 adds, which LAPACK cannot do: the column
+    norm's in numpy float16, the reflector's by _pairwise_sum.  Q is never
+    formed.
 
     Parameters
     ----------
@@ -153,12 +166,18 @@ def householder_reduce(a):
     cancels.  A pivot column that is exactly zero (or whose squared norm
     underflows to zero in the working precision) raises RankDeficient.
     """
-    n = a.shape[1]
+    m, n = a.shape
     w = np.asarray(a, dtype=np.float16).astype(np.float32, order="F")
     for j in range(n):
         col = w[j:, j:j + 1]
-        norm = _round_half(np.sqrt(
-            _pairwise_sum(_round_half(col * col), _round_half)))
+        # numpy float16 ops round once from float32; the cast rounds each
+        # square.  -0 pads to a power of two: x + -0 = x keeps the pairs of
+        # _pairwise_sum, its carried odd element included.
+        squares = np.full((1 << (m - j - 1).bit_length(), 1), -0.0, np.float16)
+        np.multiply(col, col, out=squares[:m - j])
+        while squares.shape[0] > 1:
+            squares = squares[0::2] + squares[1::2]
+        norm = np.sqrt(squares[0])
         if norm == 0:
             raise RankDeficient(f"pivot column {j} is zero at working precision")
         alpha = -norm if w[j, j] >= 0 else norm
@@ -442,6 +461,8 @@ def condition_diagnostics(a):
     The singular values come from LAPACK (scipy.linalg.svdvals) on the
     binary64 copy of the input, whatever its dtype.  Wide inputs are
     transposed first, so a matrix and its transpose give the same values.
+    From m >= floor(11 n / 6) on, where gesdd itself bidiagonalizes the R
+    of a geqrf, they are those of the R of one in-place QR: the same bits.
 
     Raises
     ------
@@ -450,11 +471,15 @@ def condition_diagnostics(a):
     NoConvergence
         If the LAPACK SVD does not converge.
     """
-    a = _as_matrix(a).astype(np.float64, copy=False)
+    a = _as_matrix(a)
     if a.shape[0] < a.shape[1]:
         a = a.T
+    m, n = a.shape
+    if m >= 11 * n // 6:
+        a = linalg.qr(np.array(a, dtype=np.float64, order="F"),
+                      overwrite_a=True, mode="raw", check_finite=False)[1]
     try:
-        sv = svdvals(a, check_finite=False)
+        sv = svdvals(a.astype(np.float64, copy=False), check_finite=False)
     except LinAlgError as exc:
         raise NoConvergence(f"LAPACK SVD did not converge: {exc}") from exc
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")

@@ -3,12 +3,13 @@
 binary32 and binary64 run natively (LAPACK).  binary16 is emulated: its
 values are carried in float32, and the result of every scalar operation
 is rounded to the nearest binary16 value (ties to even) by
-dense._round_half.  float32 has enough bits (24 >= 2 * 11 + 2) that this
-gives the bits of the binary16 operation for + - * / and sqrt.  Inner
-products are explicit pairwise trees of binary16 adds, not numpy's
-reductions.  The one hand-written binary16 kernel is
-dense.householder_reduce, behind qr_in_precision, the one low-precision
-factorization, which returns R alone.
+dense._round_half: float32 arithmetic on the magnitude, bit operations on
+the sign.  float32 has enough bits (24 >= 2 * 11 + 2) that this gives the
+bits of the binary16 operation for + - * / and sqrt, as numpy's float16
+ops do (one rounding from float32).  Inner products are explicit pairwise
+trees of binary16 adds, not numpy's reductions.  The one hand-written
+binary16 kernel is dense.householder_reduce, behind qr_in_precision, the
+one low-precision factorization, which returns R alone.
 
 Two unit-roundoff constants live on each level: `unit_roundoff` is the true
 round-to-nearest half-ulp (2^-11, 2^-24, 2^-53) describing storage, while

@@ -126,7 +126,8 @@ def _wht_rows(x, m, rows, rounding=_unrounded):
     transform's: every add/sub is one elementwise operation in the dtype
     of x, then one normalizing multiply, so each returned row is bitwise
     the full transform's.  rounding rounds every result in place, the
-    normalizing constant included; apply_sketch carries binary16 values
+    normalizing constant included, and a dense level lends it the level's
+    source as spare room; apply_sketch carries binary16 values
     in float32 and passes dense._round_half, which gives the bits of
     binary16 arithmetic.  Two kinds of butterfly are skipped.  Blocks
     wholly in the padding would only add zeros, so they are left at +0.
@@ -157,7 +158,7 @@ def _wht_rows(x, m, rows, rounding=_unrounded):
         dst = y[:live].reshape(-1, 2, span, *x.shape[1:])
         np.add(src[:, 0], src[:, 1], out=dst[:, 0])
         np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
-        rounding(y[:live])
+        rounding(y[:live], spare=x[:live])
         x, y = y, x
         span *= 2
     for h, tops in reversed(sparse):

@@ -53,3 +53,38 @@ def test_summarize_gives_quartiles_per_side_and_the_pair_count():
         "q1": 12.0, "median": 13.0, "q3": 14.0}
     assert summary["op_vs_lstsq_p50"]["change_lower_in"] == 4
     assert summary["ok_frac"]["change_lower_in"] == 0
+
+
+def test_outcome_keeps_the_failed_checks_of_a_run():
+    stdout = _stdout(14.6).replace(
+        "workload", "check failed: op 7: rel_error 1e-3 > 1e-9\nworkload", 1)
+    machine, record = _bench_pairs().outcome(1, stdout, "", 250)
+    assert machine == {"nproc": 2, "git_commit": "abc"}
+    assert record["exit"] == 1
+    assert record["checks_failed"] == [
+        "check failed: op 7: rel_error 1e-3 > 1e-9"]
+    assert record["op_vs_lstsq_p50"] == 14.6
+    assert record["minflt_per_op"] == 2.5
+
+
+def test_a_run_without_a_result_keeps_its_exit_and_stderr_tail():
+    bench = _bench_pairs()
+    stdout = _stdout(14.6).splitlines()[0] + "\n"  # the machine line only
+    stderr = "Traceback (most recent call last):\n" + "".join(
+        f'  File "w.py", line {k}\n' for k in range(30)) + "RuntimeError: boom\n"
+    machine, record = bench.outcome(1, stdout, stderr, 99)
+    assert machine == {"nproc": 2, "git_commit": "abc"}
+    assert record == {"exit": 1, "checks_failed": [],
+                      "stderr_tail": stderr.splitlines()[-bench.STDERR_LINES:]}
+    assert record["stderr_tail"][-1] == "RuntimeError: boom"
+    assert bench.outcome(-9, "", "Killed\n", 0)[1]["stderr_tail"] == ["Killed"]
+    # the other pairs still summarize
+    pairs = [{"seed": s, "parent": bench.outcome(0, _stdout(15.0 + s), "", 0)[1],
+              "change": bench.outcome(0, _stdout(12.0 + s), "", 0)[1]}
+             for s in (1, 2, 3)]
+    pairs[0]["change"] = record
+    summary = bench.summarize(pairs)
+    assert summary["op_vs_lstsq_p50"]["change"] == {
+        "q1": 14.25, "median": 14.5, "q3": 14.75}
+    assert summary["op_vs_lstsq_p50"]["change_lower_in"] == 2
+    assert summary["exit"]["change"]["q3"] == 0.5

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, svdvals
 
 from sketchlsq import (
     DimensionMismatch,
@@ -192,6 +192,37 @@ def test_condition_diagnostics_singular_matrix():
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     diag = condition_diagnostics(a)
     assert diag.two_norm_condition == np.inf
+
+
+def test_condition_diagnostics_are_lapack_svdvals_bit_for_bit():
+    """From m >= floor(11 n / 6) on, the singular values come from the R of
+    one QR, as inside LAPACK gesdd: the same bits as svdvals, above and
+    below that bound, for a wide input (transposed first) and for a
+    singular one."""
+    gen = stream(45, 3)
+    for shape in ((2000, 32), (90, 50), (32, 2000)):
+        a = gen.standard_normal(shape)
+        tall = a.T if shape[0] < shape[1] else a
+        assert np.array_equal(condition_diagnostics(a).singular_values,
+                              svdvals(tall))
+    singular = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(condition_diagnostics(singular).singular_values,
+                          svdvals(singular))
+    # 600 x 160 takes LAPACK's blocked paths, whose bits depend on the
+    # BLAS thread count, so it runs in a child on one thread
+    code = ("import numpy as np; from scipy.linalg import svdvals; "
+            "from sketchlsq.dense import condition_diagnostics; "
+            "from sketchlsq.rng import stream; "
+            "a = stream(46, 3).standard_normal((600, 160)); "
+            "print(np.array_equal(condition_diagnostics(a).singular_values, "
+            "svdvals(a)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True"]
 
 
 def test_condition_diagnostics_rejects_non_finite():
@@ -402,3 +433,28 @@ def test_round_half_matches_float16_arithmetic_exhaustively():
             _assert_rounds_as_half(op(x32, y32), op(x16, y16))
         _assert_rounds_as_half(np.sqrt(every.astype(np.float32)),
                                np.sqrt(every))
+
+
+def test_round_half_trick_breaks_ties_as_the_float16_cast():
+    """Every sign and float32 exponent, with the 13 bits binary16 drops just
+    below, at, and above half an ulp (and a tie with an odd kept bit),
+    over a spread of kept mantissas, plus +-inf and NaN: the trick path,
+    with and without a spare buffer, rounds as numpy's float16 cast."""
+    upper = np.array([0, 1, 2, 0x155, 0x2AA, 0x3FE, 0x3FF], dtype=np.uint32)
+    low = np.array([0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x3000], dtype=np.uint32)
+    sign = np.array([0, 0x80000000], dtype=np.uint32)
+    exponent = np.arange(255, dtype=np.uint32) << 23
+    bits = (sign[:, None, None, None] | exponent[None, :, None, None]
+            | (upper << 13)[None, None, :, None] | low).ravel()
+    bits = np.concatenate([bits, np.array(
+        [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001], dtype=np.uint32)])
+    x = bits.view(np.float32)
+    assert x.size >= _ROUND_HALF_MIN_SIZE
+    with np.errstate(over="ignore"):
+        want = x.astype(np.float16).astype(np.float32)
+        for got in (_round_half(x.copy()),
+                    _round_half(x.copy(), spare=np.empty_like(x))):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got.view(np.uint32)[~nan],
+                                  want.view(np.uint32)[~nan])

@@ -4,8 +4,10 @@
 
 Per workload of BENCHMARK.json, pair k = 1..10 runs ``perfbench/run.py --seed
 k --trace 0`` for run_seconds in both checkouts, the parent first in odd pairs.
-Recorded: each side's machine record, each run's metrics, exit code and minor
-faults per op (RUSAGE_CHILDREN, set-up included), and per side the quartiles.
+Recorded: each side's machine record; each run's exit code, its ``check
+failed:`` lines, and its metrics and minor faults per op (RUSAGE_CHILDREN,
+set-up included), or, when its stdout ends without a result, the last lines of
+its stderr; and per side the quartiles over the runs that gave a result.
 """
 
 import argparse
@@ -20,13 +22,33 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 QUARTILES = ("q1", "median", "q3")
 PAIRS = 10
+STDERR_LINES = 20
 
 
 def parse(stdout):
-    """The machine record and the final JSON line of a run.py stdout."""
+    """The machine record and the final JSON line of a run.py stdout, or
+    None for each that it lacks."""
     lines = stdout.strip().splitlines()
-    machine = next(line[9:] for line in lines if line.startswith("machine: "))
-    return json.loads(machine), json.loads(lines[-1])
+    machine = next((json.loads(line[9:]) for line in lines
+                    if line.startswith("machine: ")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    return machine, result
+
+
+def outcome(returncode, stdout, stderr, faults):
+    """The machine record and the record of one run.py run."""
+    machine, result = parse(stdout)
+    record = {"exit": returncode, "checks_failed": [
+        line for line in stdout.splitlines() if line.startswith("check failed:")]}
+    if result is None:
+        record["stderr_tail"] = stderr.strip().splitlines()[-STDERR_LINES:]
+    else:
+        record.update({k: v["value"] for k, v in result["metrics"].items()})
+        record["minflt_per_op"] = faults / result["attempted"]
+    return machine, record
 
 
 def run(cwd, workload, seed, seconds):
@@ -36,21 +58,30 @@ def run(cwd, workload, seed, seconds):
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=cwd, capture_output=True, text=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    machine, result = parse(proc.stdout)
-    metrics = {k: v["value"] for k, v in result["metrics"].items()}
-    return machine, {"exit": proc.returncode, **metrics,
-                     "minflt_per_op": faults / result["attempted"]}
+    return outcome(proc.returncode, proc.stdout, proc.stderr, faults)
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return None
+    return dict(zip(QUARTILES, statistics.quantiles(
+        values, n=4, method="inclusive")))
 
 
 def summarize(pairs):
-    """Per metric: quartiles per side, and in how many pairs it is lower."""
+    """Per numeric metric: quartiles per side over the runs that report it
+    (None below two runs), and in how many pairs it is lower."""
+    names = {name for pair in pairs for side in SIDES
+             for name, value in pair[side].items()
+             if isinstance(value, (int, float))}
     out = {}
-    for name in pairs[0]["change"]:
-        cols = {side: [p[side][name] for p in pairs] for side in SIDES}
-        out[name] = {side: dict(zip(QUARTILES, statistics.quantiles(
-            col, n=4, method="inclusive"))) for side, col in cols.items()}
+    for name in sorted(names):
+        cols = {side: [p[side].get(name) for p in pairs] for side in SIDES}
+        out[name] = {side: _quartiles([v for v in col if v is not None])
+                     for side, col in cols.items()}
         out[name]["change_lower_in"] = sum(
-            c < p for p, c in zip(cols["parent"], cols["change"]))
+            p is not None and c is not None and c < p
+            for p, c in zip(cols["parent"], cols["change"]))
     return out
 
 
@@ -68,8 +99,10 @@ def main(argv=None):
         for seed in range(1, PAIRS + 1):
             pair = {"seed": seed}
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                record["machine"][side], pair[side] = run(
+                machine, pair[side] = run(
                     cwd[side], workload, seed, record["seconds"])
+                if machine is not None:
+                    record["machine"][side] = machine
             pairs.append(pair)
         record[workload] = {"pairs": pairs, "summary": summarize(pairs)}
         with open(args.out, "w") as fh:
