@@ -1,6 +1,9 @@
 """Tests for the sweep/benchmark harness and its CSV output."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,50 @@ def test_sweep_is_deterministic_up_to_timing():
         {k: v for k, v in row.items() if k != "wall_ms"} for row in rows
     ]
     assert strip(run_sweep(_small_config())) == strip(run_sweep(_small_config()))
+
+
+# sha256 over every CSV cell but wall_ms of two five-method sweeps, as
+# recorded with OpenBLAS 0.3.31 on x86-64: 2000 x 32 at kappa 1e6 with the
+# automatic precision and the DCT, and 300 x 20 at kappa 3e3 forced to
+# binary16 with the WHT (its first point escalates to binary32).  n <= 128
+# keeps geqrf unblocked, but hpne's A_p^T A is a general dgemm, which at
+# 2000 x 32 sums in another order on two BLAS threads than on one: the first
+# sweep's hpne rows differ, so it has one digest per thread count.
+_SWEEP_PINS = {
+    "1": ["e548f54210c165b5ba320080ec7ee2dd0fbffb26c2a634c38442b40f62cfd615",
+          "24094c213444448d08b89fd07bbfc3014843d97c04a32e6899bd483ec024d5ba"],
+    "2": ["b427777c8f8c20e0b5a719f95e2ec1c62b8eec4dc2ce792bf4bcb108425dc9ed",
+          "24094c213444448d08b89fd07bbfc3014843d97c04a32e6899bd483ec024d5ba"],
+}
+_SWEEP_PIN_CODE = """
+import hashlib
+from sketchlsq import SweepConfig, run_sweep
+from sketchlsq.harness import CSV_COLUMNS, _fmt
+methods = ("qr", "ne", "pne", "hpne", "sne")
+for m, n, kappa, precision, transform in (
+        (2000, 32, 1e6, "auto", "dct2"), (300, 20, 3e3, "half", "wht")):
+    rows = run_sweep(SweepConfig(
+        m=m, n=n, kappa=kappa, rho_grid=[1e-12, 1e-6, 1e-2], methods=methods,
+        precision=precision, transform=transform, seed=3))
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr([_fmt(row[col]) for col in CSV_COLUMNS
+                       if col != "wall_ms"]).encode())
+    print(h.hexdigest())
+"""
+
+
+def test_sweep_rows_match_pinned_digests():
+    """Both sweeps, bit for bit apart from wall_ms, at 1 and 2 BLAS threads
+    (each in a child, since the thread count is fixed when numpy loads)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    for threads, digests in _SWEEP_PINS.items():
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _SWEEP_PIN_CODE], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.split() == digests, threads
 
 
 def test_sweep_survives_method_failure():
