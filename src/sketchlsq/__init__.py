@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     MissingField,
     NoConvergence,
-    NotOrthonormal,
     NotPositiveDefinite,
     NumericallySingular,
     Overflow,
@@ -65,12 +64,9 @@ from .probgen import (
     triangular_with_condition,
 )
 from .sketch import (
-    EmbeddingParams,
     SketchOperator,
     apply_sketch,
-    coherence,
     make_sketch,
-    sample_size_lower_bound,
     sketch_from_descriptor,
 )
 from .solvers import (

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .dense import condition_diagnostics
+from .dense import LinearSystem, _check_system, condition_diagnostics
 from .errors import MissingField, PoleAtOne
 from .precision import BINARY64
 
@@ -172,8 +172,15 @@ class ProblemDiagnostics:
 
 
 def measure_problem(problem, pre=None, a_p=None):
-    """Measure the solution-independent diagnostics for bound evaluation."""
-    diag_a = condition_diagnostics(problem.a)
+    """Measure the solution-independent diagnostics for bound evaluation.
+
+    problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
+    whose shared R of A and A_p^T A are then read rather than formed again.
+    """
+    system = problem
+    if not isinstance(problem, LinearSystem):
+        system = _check_system(problem.a, problem.b)
+    diag_a = system.diagnostics()
     if pre is None:
         return ProblemDiagnostics(norm_a=diag_a.two_norm,
                                   kappa_a=diag_a.two_norm_condition)
@@ -181,10 +188,10 @@ def measure_problem(problem, pre=None, a_p=None):
         # imported here: solvers imports the bound formulas for its table
         from .solvers import precondition_matrix
 
-        a_p = precondition_matrix(problem.a, pre)
+        a_p = precondition_matrix(system, pre)
     diag_rs = condition_diagnostics(pre.r_s)
     diag_ap = condition_diagnostics(a_p)
-    diag_apta = condition_diagnostics(a_p.T @ problem.a)
+    diag_apta = condition_diagnostics(system.apta(a_p))
     return ProblemDiagnostics(
         norm_a=diag_a.two_norm,
         kappa_a=diag_a.two_norm_condition,
@@ -203,7 +210,7 @@ def measure_bound_inputs(problem, report, pre=None, diagnostics=None):
 
     Parameters
     ----------
-    problem : LeastSquaresProblem
+    problem : LeastSquaresProblem or dense.LinearSystem
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap.
     pre : Preconditioner or None

@@ -4,9 +4,11 @@ QR, triangular, LU and Cholesky solves and the singular values behind
 condition_diagnostics are thin wrappers over LAPACK (scipy.linalg) that
 raise the package's typed errors and compute in the common dtype of their
 inputs (binary32 stays binary32; binary16 is promoted to binary32).  QR
-runs geqrf and orgqr in place (overwrite_a) on one owned Fortran copy of
-the input (_fortran_copy), so scipy.linalg.qr makes no m x n copy of its
-own, and the R-only QR takes the triangle of the n x n top alone.
+runs geqrf (_geqrf) and orgqr (_orgqr) in place on one owned Fortran copy
+of the input, so scipy.linalg.qr makes no m x n copy of its own, and R is
+the triangle of the n x n top alone.  LinearSystem is the checked system
+of one problem, whose products of A (its QR among them) the solves and
+diagnostics of that problem form once and share.
 Two hand-written kernels remain.  householder_reduce is the one binary16
 kernel: it carries binary16 values in float32 and rounds the result of
 every scalar operation to binary16 (_round_half: float32 arithmetic on
@@ -16,6 +18,7 @@ kept as an independent reference for the tests.
 """
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -217,11 +220,22 @@ def _check_diagonal(r, error):
         raise error(f"zero diagonal entry at index {zero[0]}")
 
 
-def _fortran_copy(a):
-    # One owned Fortran copy of the tall matrix a in its LAPACK dtype
-    # (binary16 is promoted to binary32), for linalg.qr to overwrite.
-    a = _tall_matrix(a)
-    return np.array(a, dtype=np.promote_types(a.dtype, np.float32), order="F")
+def _geqrf(a):
+    # geqrf in place on one owned Fortran copy of the checked tall matrix a
+    # in its LAPACK dtype (binary16 is promoted to binary32), so linalg.qr
+    # makes no m x n copy of its own: ((reflectors, tau), r), r unchecked
+    # and the triangle of the n x n top alone.
+    return linalg.qr(np.array(a, dtype=np.promote_types(a.dtype, np.float32),
+                              order="F"),
+                     overwrite_a=True, mode="raw", check_finite=False)
+
+
+def _orgqr(reflectors, tau):
+    # The thin Q from geqrf's reflectors, in place on them, by the same
+    # workspace query and orgqr call as linalg.qr's economic mode.
+    orgqr = linalg.get_lapack_funcs("orgqr", (reflectors,))
+    lwork = int(orgqr(reflectors, tau, lwork=-1, overwrite_a=1)[-2][0].real)
+    return orgqr(reflectors, tau, lwork=lwork, overwrite_a=1)[0]
 
 
 def householder_qr(a):
@@ -245,17 +259,16 @@ def householder_qr(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    q, r = linalg.qr(_fortran_copy(a), overwrite_a=True, mode="economic",
-                     check_finite=False)
+    (reflectors, tau), r = _geqrf(_tall_matrix(a))
     _check_diagonal(r, RankDeficient)
-    return QRFactors(q=q, r=r)
+    return QRFactors(q=_orgqr(reflectors, tau), r=r)
 
 
 def qr_r_factor(a):
     """Triangular factor alone of the thin QR of a tall matrix, by LAPACK.
 
     Same r as householder_qr(a).r: geqrf in place on one Fortran copy of
-    a, without forming q; r is the triangle of the n x n top alone.
+    a, without forming q.
 
     Raises
     ------
@@ -264,8 +277,7 @@ def qr_r_factor(a):
     RankDeficient
         If r has an exactly zero diagonal entry.
     """
-    r = linalg.qr(_fortran_copy(a), overwrite_a=True, mode="raw",
-                  check_finite=False)[1]
+    r = _geqrf(_tall_matrix(a))[1]
     _check_diagonal(r, RankDeficient)
     return r
 
@@ -476,8 +488,7 @@ def condition_diagnostics(a):
         a = a.T
     m, n = a.shape
     if m >= 11 * n // 6:
-        a = linalg.qr(np.array(a, dtype=np.float64, order="F"),
-                      overwrite_a=True, mode="raw", check_finite=False)[1]
+        a = _geqrf(a.astype(np.float64, copy=False))[1]
     try:
         sv = svdvals(a.astype(np.float64, copy=False), check_finite=False)
     except LinAlgError as exc:
@@ -489,3 +500,106 @@ def condition_diagnostics(a):
         singular_values=sv,
     )
 
+
+class LinearSystem:
+    """A checked least-squares system min norm(a x - b).
+
+    _check_system builds one per problem and checks a (made binary64), b
+    and x_star (None when no reference solution is known) there alone; the
+    functions that take a matrix or a LinearSystem check no further.  One
+    built directly vouches that its a is finite.  The products of a
+    that several solves and diagnostics read are formed once, on first use,
+    by the expression each reader used on its own, so with the same bits:
+    gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
+    reflectors), apta(a_p) (a_p^T a) and norm_a (Frobenius).  cost(*names)
+    is the time their forming took, which a solve that reads them counts.
+    A LinearSystem stands in for its a where a function takes A, and so
+    has a's shape and dtype.
+    """
+
+    def __init__(self, a, b=None, x_star=None):
+        self.a, self.b, self.x_star = a, b, x_star
+        self._made = {}
+
+    def _shared(self, name, form):
+        if name not in self._made:
+            t0 = time.perf_counter()
+            with np.errstate(all="ignore"):  # its readers check the range
+                self._made[name] = (form(), time.perf_counter() - t0)
+        return self._made[name][0]
+
+    @property
+    def shape(self):
+        return self.a.shape
+
+    @property
+    def dtype(self):
+        return self.a.dtype
+
+    def cost(self, *names):
+        return sum(self._made[name][1] for name in names if name in self._made)
+
+    @property
+    def gram(self):
+        return self._shared("gram", lambda: self.a.T @ self.a)
+
+    @property
+    def atb(self):
+        return self._shared("atb", lambda: self.a.T @ self.b)
+
+    @property
+    def norm_a(self):
+        return self._shared("norm_a",
+                            lambda: float(linalg.norm(self.a.ravel())))
+
+    def _qr(self):
+        return self._shared("geqrf", lambda: _geqrf(self.a))
+
+    @property
+    def r(self):
+        # unchecked: a zero pivot fails the solves, not the diagnostics
+        return self._qr()[1]
+
+    @property
+    def q(self):
+        return self._shared("q", lambda: _orgqr(*self._qr()[0]))
+
+    def apta(self, a_p):
+        if "apta" in self._made and self._made["apta"][0][0] is not a_p:
+            del self._made["apta"]  # kept for another A_p
+        return self._shared("apta", lambda: (a_p, a_p.T @ self.a))[1]
+
+    def diagnostics(self):
+        """condition_diagnostics(a), from the shared R where it takes one."""
+        m, n = self.a.shape
+        return condition_diagnostics(self.r if m >= 11 * n // 6 else self.a)
+
+
+def _matrix_of(a, check=_as_matrix):
+    # The matrix of a LinearSystem as it is, else the matrix a after check.
+    return a.a if isinstance(a, LinearSystem) else check(a)
+
+
+def _check_system(a, b, x_star=None):
+    if isinstance(a, LinearSystem):
+        if b is not a.b or x_star is not a.x_star:
+            raise ValueError("a LinearSystem takes its own b and x_star")
+        return a
+    a = _as_matrix(a)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1:
+        raise ValueError(f"b must be 1-D, got ndim={b.ndim}")
+    if not np.isfinite(b).all():
+        raise ValueError("b contains non-finite entries")
+    if a.shape[0] < a.shape[1]:
+        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"b length {b.shape[0]} != rows {a.shape[0]}")
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=np.float64)
+        if x_star.shape != (a.shape[1],):
+            raise DimensionMismatch(
+                f"x_star shape {x_star.shape} != ({a.shape[1]},)")
+        if not (np.isfinite(x_star).all() and x_star.any()):
+            raise ValueError("x_star must be finite and nonzero")
+    return LinearSystem(a.astype(np.float64, copy=False), b, x_star)

@@ -35,10 +35,6 @@ class DimensionMismatch(SketchLsqError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NotOrthonormal(SketchLsqError):
-    """A matrix required to have orthonormal columns does not."""
-
-
 class DegenerateResidual(SketchLsqError):
     """The residual-direction draw kept landing in the column span."""
 

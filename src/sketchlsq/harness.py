@@ -4,7 +4,14 @@ run_sweep solves a grid of generated problems (one residual scale per
 point, several trials per point) with a set of methods, measures errors
 and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
-Rows are a deterministic function of the config except for wall_ms.
+Each point checks A once into a dense.LinearSystem, whose QR of A (one
+geqrf for qr, sne and kappa(A)), A^T A, A^T b and A_p^T A every method
+and diagnostic of the point shares.  A row's wall_ms counts the products
+its method reads, at the time they took to form, but not the
+preconditioner.  Rows are a deterministic function of the config, the
+BLAS build and its thread count, except for wall_ms: on another thread
+count the blocked geqrf (n >= 129) and the general products A_p^T A
+(from about m = 2000 on) round differently.
 """
 
 import csv
@@ -22,6 +29,7 @@ from .bounds import (
     measure_bound_inputs,
     measure_problem,
 )
+from .dense import _check_system
 from .errors import SketchLsqError
 from .precision import level_from_name, resolve_precision
 from .probgen import generate_problem
@@ -123,6 +131,7 @@ def _sweep_point(config, grid_index, rho, trial):
     try:
         problem = generate_problem(config.m, config.n, config.kappa, rho,
                                    sub_seed)
+        system = _check_system(problem.a, problem.b, problem.x_star)
     except (SketchLsqError, ValueError) as exc:
         rows = []
         for method in config.methods:
@@ -136,14 +145,14 @@ def _sweep_point(config, grid_index, rho, trial):
     pre_error = None
     if any(METHODS[method].preconditioned for method in config.methods):
         try:
-            level, _ = resolve_precision(problem.a, config.precision)
+            level, _ = resolve_precision(system, config.precision)
             pre, a_p, _ = prepare_preconditioner(
-                problem.a, config.d_factor, config.transform, level, sub_seed)
+                system, config.d_factor, config.transform, level, sub_seed)
             level_name = pre.computed_in.name
         except (SketchLsqError, ValueError) as exc:
             pre_error = exc
 
-    diagnostics = measure_problem(problem, pre, a_p)
+    diagnostics = measure_problem(system, pre, a_p)
     d = sketch_rows(config.d_factor, config.n)
     rows = []
     for method in config.methods:
@@ -156,9 +165,10 @@ def _sweep_point(config, grid_index, rho, trial):
         try:
             if spec.preconditioned and pre_error is not None:
                 raise pre_error
-            report = spec.solve(problem.a, problem.b, problem.x_star, pre, a_p)
+            report = spec.solve(system, system.b, system.x_star, pre,
+                                a_p)
             inputs = measure_bound_inputs(
-                problem, report, pre if spec.preconditioned else None,
+                system, report, pre if spec.preconditioned else None,
                 diagnostics=diagnostics)
             row["rel_error"] = report.relative_error
             row["rel_residual"] = inputs.res_ratio_a

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dpocon
 
 from .dense import (
+    LinearSystem,
     cholesky_factor,
     householder_reduce,
     qr_r_factor,
@@ -164,17 +165,19 @@ def estimate_log10_condition(a):
     Gram matrix of such input cannot be resolved at working precision and
     the preconditioner must be computed in binary64 anyway).
 
+    a is a matrix, or a dense.LinearSystem whose shared Gram matrix is read.
+
     Returns
     -------
     (kappa0, overflowed) : tuple of float and bool
         overflowed is True when any intermediate is non-finite, rcond is
         zero or the Cholesky breaks down; kappa0 is NaN in that case.
     """
-    a = _as_matrix(a)
-    n = a.shape[1]
-    work = a.astype(np.float64, copy=False)
+    system = a if isinstance(a, LinearSystem) else LinearSystem(
+        _as_matrix(a).astype(np.float64, copy=False))
+    n = system.a.shape[1]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        g = work.T @ work
+        g = system.gram
         if not np.isfinite(g).all():
             return (math.nan, True)
         norm1 = float(np.abs(g).sum(axis=0).max())
@@ -206,7 +209,10 @@ def select_precision(kappa0, overflowed):
 
 
 def decide_precision(a):
-    """Estimate kappa0 and select the preconditioner precision in one step."""
+    """Estimate kappa0 and select the preconditioner precision in one step.
+
+    a is as for estimate_log10_condition: a matrix or a dense.LinearSystem.
+    """
     kappa0, overflowed = estimate_log10_condition(a)
     return PrecisionDecision(
         kappa0=kappa0,
@@ -218,6 +224,7 @@ def decide_precision(a):
 def resolve_precision(a, precision):
     """The preconditioner precision for a, as (level, decision).
 
+    a is a matrix or a dense.LinearSystem, as for decide_precision.
     precision is "auto" (decide_precision estimates kappa0 and decision is
     its result), a precision name, or a PrecisionLevel (decision is None).
     """

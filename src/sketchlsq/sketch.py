@@ -18,42 +18,12 @@ import numpy as np
 from scipy.fft import dct
 
 from . import rng
-from .dense import _as_matrix, _round_half, _unrounded, condition_diagnostics
-from .errors import DimensionMismatch, NotOrthonormal
+from .dense import _matrix_of, _round_half, _unrounded
+from .errors import DimensionMismatch
 
 DCT2 = "dct2"
 WHT = "wht"
 TRANSFORMS = (DCT2, WHT)
-
-
-@dataclass(frozen=True)
-class EmbeddingParams:
-    """Inputs to the subspace-embedding sample-size bound.
-
-    Invariants checked at construction: m >= n >= 1, coherence mu in
-    (0, 1] and at least n/m, distortion eps in (0, 1), failure probability
-    delta in (0, 1).
-    """
-
-    m: int
-    n: int
-    mu: float
-    eps: float
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < self.n:
-            raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
-        if not 0 < self.mu <= 1:
-            raise ValueError(f"coherence must be in (0, 1], got {self.mu}")
-        if self.mu * self.m < self.n * (1 - 1e-12):
-            raise ValueError(
-                f"coherence {self.mu} below the floor n/m = {self.n / self.m}")
-        if not 0 < self.eps < 1:
-            raise ValueError(f"distortion must be in (0, 1), got {self.eps}")
-        if not 0 < self.delta < 1:
-            raise ValueError(
-                f"failure probability must be in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +143,7 @@ def _wht_rows(x, m, rows, rounding=_unrounded):
 def apply_sketch(op, a):
     """Apply the sketch to a, returning the d x n sketched matrix.
 
+    a is a matrix or a dense.LinearSystem, whose a is taken as checked.
     Arithmetic happens in the dtype of a.  binary16 is emulated: float16
     input is carried in float32, where the sign flips are exact, and the
     Walsh-Hadamard butterflies and the final scaling round every result
@@ -188,7 +159,7 @@ def apply_sketch(op, a):
     DimensionMismatch
         If a does not have exactly op.m rows.
     """
-    a = _as_matrix(a)
+    a = _matrix_of(a)
     if a.shape[0] != op.m:
         raise DimensionMismatch(f"operator built for {op.m} rows, got {a.shape[0]}")
     dtype = a.dtype
@@ -207,29 +178,3 @@ def apply_sketch(op, a):
                 dct(signed, type=2, axis=0, norm="ortho")[op.sampled_rows])
         sampled *= carry.type(dtype.type(math.sqrt(op.m_pad / op.d)))
         return rounding(sampled).astype(dtype, copy=False)
-
-
-def sample_size_lower_bound(params):
-    """Smallest sample count certified by the coherence-based tail bound.
-
-    Returns ceil(2 m mu (1 + eps/3) ln(n/delta) / eps^2).
-    """
-    raw = (2.0 * params.m * params.mu * (1.0 + params.eps / 3.0)
-           * math.log(params.n / params.delta) / params.eps ** 2)
-    return int(math.ceil(raw))
-
-
-def coherence(q):
-    """Largest squared row norm of a matrix with orthonormal columns.
-
-    Raises
-    ------
-    NotOrthonormal
-        If norm(q^T q - I, 2) exceeds 1e-10.
-    """
-    q = _as_matrix(q, "q")
-    n = q.shape[1]
-    dev = q.T @ q - np.eye(n)
-    if condition_diagnostics(dev).two_norm > 1e-10:
-        raise NotOrthonormal("columns are not orthonormal to 1e-10")
-    return float(np.einsum("ij,ij->i", q, q).max())

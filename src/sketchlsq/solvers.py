@@ -8,6 +8,11 @@ x = R_s^{-1} y; half-preconditioned normal equations (hpne) solve the
 nonsymmetric system A_p^T A x = A_p^T b by LU with partial pivoting.
 Unpreconditioned baselines (QR, normal equations, seminormal equations)
 and the two-sided generalization B^T A x = B^T b round out the family.
+
+Every function here that takes A also takes a dense.LinearSystem in its
+place (a solve then takes that system's own b and x_star): its A was
+checked once, and the products of A that several solves and diagnostics
+read are formed once.
 """
 
 import math
@@ -21,11 +26,14 @@ from scipy import linalg
 from .bounds import bound_hpne, bound_pne
 from .dense import (
     cholesky_solve,
-    householder_qr,
     lu_solve,
-    qr_r_factor,
     triangular_solve,
     _as_matrix,
+    LinearSystem,
+    _check_diagonal,
+    _check_system,
+    _matrix_of,
+    _tall_matrix,
 )
 from .errors import (
     DimensionMismatch,
@@ -70,7 +78,11 @@ class SolveReport:
     relative_residual is 0.0 whenever the residual is exactly zero, as
     for b = 0.  relative_error is None when no reference solution was
     supplied.  wall_ms covers the solver call, including preconditioner
-    construction when the solver built one itself.  lu_fallback is True
+    construction when the solver built one itself, and the products of A
+    in the system's record that the method reads (the QR of A for qr and
+    sne, A^T A for ne, A^T b for ne and sne, A_p^T A for hpne) at the time
+    they took to form, even when another solve or a diagnostic formed them
+    first; a preconditioner passed in is not counted.  lu_fallback is True
     when pne's Cholesky factorization of the preconditioned Gram matrix
     failed and LU solved that system instead.
     """
@@ -85,27 +97,6 @@ class SolveReport:
     precision_decision: PrecisionDecision | None = None
     escalated_from: PrecisionLevel | None = None
     lu_fallback: bool = False
-
-
-def _check_system(a, b, x_star=None):
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1:
-        raise ValueError(f"b must be 1-D, got ndim={b.ndim}")
-    if not np.isfinite(b).all():
-        raise ValueError("b contains non-finite entries")
-    if a.shape[0] < a.shape[1]:
-        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"b length {b.shape[0]} != rows {a.shape[0]}")
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=np.float64)
-        if x_star.shape != (a.shape[1],):
-            raise DimensionMismatch(
-                f"x_star shape {x_star.shape} != ({a.shape[1]},)")
-        if not (np.isfinite(x_star).all() and x_star.any()):
-            raise ValueError("x_star must be finite and nonzero")
-    return a.astype(np.float64, copy=False), b, x_star
 
 
 def _silent_overflow():
@@ -123,23 +114,22 @@ def _finite_system(method, g, rhs):
     return g, rhs
 
 
-def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
-            lu_fallback=False):
+def _report(method, system, x_hat, t0, preconditioner=None, lu_fallback=False):
     if not np.isfinite(x_hat).all():
         raise Overflow(f"{method} solution has non-finite entries")
     # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
     # near the binary64 range
-    r = a @ x_hat - b
+    r = system.a @ x_hat - system.b
     residual_norm = float(linalg.norm(r))
-    denom = float(linalg.norm(a.ravel())) * float(linalg.norm(x_hat))
+    denom = system.norm_a * float(linalg.norm(x_hat))
     if residual_norm == 0:
         relative_residual = 0.0
     else:
         relative_residual = residual_norm / denom if denom > 0 else math.inf
     relative_error = None
-    if x_star is not None:
-        relative_error = float(np.linalg.norm(x_hat - x_star)
-                               / np.linalg.norm(x_star))
+    if system.x_star is not None:
+        relative_error = float(np.linalg.norm(x_hat - system.x_star)
+                               / np.linalg.norm(system.x_star))
     return SolveReport(
         method=method,
         x_hat=x_hat,
@@ -152,14 +142,17 @@ def _report(method, a, b, x_hat, t0, x_star=None, preconditioner=None,
     )
 
 
+# A solve's clock starts early by the time that the products of A in its
+# system's record that it reads took to form, whoever formed them first.
+
 def solve_qr_baseline(a, b, x_star=None):
     """Reference dense solve: LAPACK thin QR, then back substitution."""
-    a, b, x_star = _check_system(a, b, x_star)
-    t0 = time.perf_counter()
+    system = _check_system(a, b, x_star)
+    t0 = time.perf_counter() - system.cost("geqrf", "q")
     with _silent_overflow():
-        factors = householder_qr(a)
-        x = triangular_solve(factors.r, factors.q.T @ b)
-    return _report("qr", a, b, x, t0, x_star)
+        _check_diagonal(system.r, RankDeficient)
+        x = triangular_solve(system.r, system.q.T @ system.b)
+    return _report("qr", system, x, t0)
 
 
 def solve_normal(a, b, x_star=None):
@@ -168,22 +161,23 @@ def solve_normal(a, b, x_star=None):
     Raises NotPositiveDefinite when the Gram matrix loses definiteness to
     rounding, which happens once the condition number nears 1e8.
     """
-    a, b, x_star = _check_system(a, b, x_star)
-    t0 = time.perf_counter()
+    system = _check_system(a, b, x_star)
+    t0 = time.perf_counter() - system.cost("gram", "atb")
     with _silent_overflow():
-        x = cholesky_solve(*_finite_system("ne", a.T @ a, a.T @ b))
-    return _report("ne", a, b, x, t0, x_star)
+        x = cholesky_solve(*_finite_system("ne", system.gram, system.atb))
+    return _report("ne", system, x, t0)
 
 
 def solve_seminormal(a, b, x_star=None):
     """Seminormal equations r^T r x = a^T b using only the R factor of a."""
-    a, b, x_star = _check_system(a, b, x_star)
-    t0 = time.perf_counter()
+    system = _check_system(a, b, x_star)
+    t0 = time.perf_counter() - system.cost("geqrf", "atb")
     with _silent_overflow():
-        r = qr_r_factor(a)
-        y = triangular_solve(r, a.T @ b, transposed=True)
+        r = system.r
+        _check_diagonal(r, RankDeficient)
+        y = triangular_solve(r, system.atb, transposed=True)
         x = triangular_solve(r, y)
-    return _report("sne", a, b, x, t0, x_star)
+    return _report("sne", system, x, t0)
 
 
 def solve_notnormal(a, b_matrix, b, x_star=None):
@@ -193,15 +187,16 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
     the normal equations, taking b_matrix = A_p recovers the
     half-preconditioned system.
     """
-    a, b, x_star = _check_system(a, b, x_star)
+    system = _check_system(a, b, x_star)
     b_matrix = _as_matrix(b_matrix, "b_matrix").astype(np.float64)
-    if b_matrix.shape != a.shape:
+    if b_matrix.shape != system.a.shape:
         raise DimensionMismatch(
-            f"b_matrix shape {b_matrix.shape} != a shape {a.shape}")
+            f"b_matrix shape {b_matrix.shape} != a shape {system.a.shape}")
     t0 = time.perf_counter()
     with _silent_overflow():
-        x = lu_solve(*_finite_system("nne", b_matrix.T @ a, b_matrix.T @ b))
-    return _report("nne", a, b, x, t0, x_star)
+        x = lu_solve(*_finite_system("nne", b_matrix.T @ system.a,
+                                     b_matrix.T @ system.b))
+    return _report("nne", system, x, t0)
 
 
 def sketch_rows(d_factor, n):
@@ -230,10 +225,8 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
         If the sketched matrix loses column rank at the working precision
         (including a zero diagonal surviving to the promoted factor).
     """
-    a = _as_matrix(a)
+    a = _matrix_of(a, _tall_matrix)
     m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
     d = sketch_rows(d_factor, n)
     if d < n:
         raise ValueError(f"d_factor {d_factor} gives d={d} < n={n}")
@@ -241,7 +234,8 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     if rounded.overflowed:
         raise Overflow(f"input exceeds the {level.name} range")
     op = make_sketch(m, d, transform, seed)
-    a_s = apply_sketch(op, rounded.data)
+    # the demotion of a finite a is finite unless it overflowed
+    a_s = apply_sketch(op, LinearSystem(rounded.data))
     if not np.isfinite(a_s).all():
         raise Overflow(f"sketch exceeds the {level.name} range")
     r_s = qr_in_precision(a_s, level)
@@ -257,7 +251,7 @@ def precondition_matrix(a, pre):
     pre is left unchanged.  All arithmetic is binary64 regardless of the
     precision the factor was computed in.
     """
-    a = _as_matrix(a).astype(np.float64, copy=False)
+    a = _matrix_of(a).astype(np.float64, copy=False)
     xt = triangular_solve(pre.r_s, a.T, transposed=True)
     return np.ascontiguousarray(xt.T)
 
@@ -270,13 +264,13 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
     x from R_s x = y.  Pass a_p to reuse a previously formed
     preconditioned matrix; otherwise it is formed here.
     """
-    a, b, x_star = _check_system(a, b, x_star)
+    system = _check_system(a, b, x_star)
     t0 = time.perf_counter()
     if a_p is None:
-        a_p = precondition_matrix(a, pre)
+        a_p = precondition_matrix(system, pre)
     with _silent_overflow():
         g = a_p.T @ a_p
-        rhs = a_p.T @ b
+        rhs = a_p.T @ system.b
         try:
             y = cholesky_solve(g, rhs)
             lu_fallback = False
@@ -284,7 +278,7 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
             y = lu_solve(g, rhs)
             lu_fallback = True
         x = triangular_solve(pre.r_s, y)
-    return _report("pne", a, b, x, t0, x_star, preconditioner=pre,
+    return _report("pne", system, x, t0, preconditioner=pre,
                    lu_fallback=lu_fallback)
 
 
@@ -295,13 +289,13 @@ def solve_hpne(a, b, pre, x_star=None, a_p=None):
     partial pivoting; no triangular recovery step is needed since the
     unknowns are already x.
     """
-    a, b, x_star = _check_system(a, b, x_star)
-    t0 = time.perf_counter()
+    system = _check_system(a, b, x_star)
+    t0 = time.perf_counter() - system.cost("apta")
     if a_p is None:
-        a_p = precondition_matrix(a, pre)
+        a_p = precondition_matrix(system, pre)
     with _silent_overflow():
-        x = lu_solve(a_p.T @ a, a_p.T @ b)
-    return _report("hpne", a, b, x, t0, x_star, preconditioner=pre)
+        x = lu_solve(system.apta(a_p), a_p.T @ system.b)
+    return _report("hpne", system, x, t0, preconditioner=pre)
 
 
 def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
@@ -354,15 +348,15 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
         wall_ms covers the full pipeline: estimate, sketch, factor,
         precondition, solve.
     """
-    a, b, x_star = _check_system(a, b, x_star)
+    system = _check_system(a, b, x_star)
     spec = METHODS.get(method)
     if spec is None or not spec.preconditioned:
         raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
-    level, decision = resolve_precision(a, precision)
+    level, decision = resolve_precision(system, precision)
     pre, a_p, escalated_from = prepare_preconditioner(
-        a, d_factor, transform, level, seed)
-    report = spec.solve(a, b, x_star, pre, a_p)
+        system, d_factor, transform, level, seed)
+    report = spec.solve(system, system.b, system.x_star, pre, a_p)
     report.precision_decision = decision
     report.escalated_from = escalated_from
     report.wall_ms = (time.perf_counter() - t0) * 1e3
@@ -373,7 +367,8 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
 class Method:
     """One entry of the method table shared by the pipeline, CLI and sweep.
 
-    solve(a, b, x_star, pre, a_p) returns a SolveReport; only preconditioned
+    solve(a, b, x_star, pre, a_p) returns a SolveReport (a may be a
+    dense.LinearSystem, with its own b and x_star); only preconditioned
     methods read pre and a_p.  bound(inputs, variant), when set, is the
     method's own error bound, filling the sweep's bound_<name>_old/new.
     """

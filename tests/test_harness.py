@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from sketchlsq import (
     BINARY64,
     SweepConfig,
@@ -19,7 +21,9 @@ from sketchlsq import (
     run_benchmark,
     run_sweep,
 )
+from sketchlsq import dense, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
+from sketchlsq.rng import mix64
 
 
 def _small_config(**overrides):
@@ -152,6 +156,50 @@ def test_sweep_rows_match_pinned_digests():
         out = subprocess.run([sys.executable, "-c", _SWEEP_PIN_CODE], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.split() == digests, threads
+
+
+def _one_point(**overrides):
+    cfg = _small_config(methods=("qr", "ne", "pne", "hpne", "sne"),
+                        precision="auto", rho_grid=rho_grid(1e-6, 1e-6, 1),
+                        trials_per_point=1, **overrides)
+    seed = mix64(cfg.seed, 0, 0)
+    return cfg, generate_problem(cfg.m, cfg.n, cfg.kappa, 1e-6, seed).a
+
+
+def test_sweep_point_factors_a_once(monkeypatch):
+    """qr, sne and the kappa(A) diagnostic read one geqrf of A."""
+    cfg, a = _one_point()
+    qr = scipy.linalg.qr
+    factored = []
+
+    def counting(x, *args, **kwargs):
+        factored.append(np.array_equal(x, a))
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    rows = run_sweep(cfg)
+    assert all(row["error"] == "" for row in rows)
+    assert sum(factored) == 1
+
+
+def test_auto_sweep_point_forms_the_gram_matrix_once(monkeypatch):
+    """The kappa0 estimate and ne factor one A^T A array."""
+    cfg, a = _one_point()
+    gram = a.T @ a
+    factor = dense.cholesky_factor
+    grams = []
+
+    def counting(s):
+        if np.array_equal(s, gram):
+            grams.append(s)
+        return factor(s)
+
+    monkeypatch.setattr(dense, "cholesky_factor", counting)
+    monkeypatch.setattr(precision, "cholesky_factor", counting)
+    rows = run_sweep(cfg)
+    assert all(row["error"] == "" for row in rows)
+    assert len(grams) == 2
+    assert grams[0] is grams[1]
 
 
 def test_sweep_survives_method_failure():

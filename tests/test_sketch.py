@@ -8,12 +8,8 @@ import pytest
 
 from sketchlsq import (
     DimensionMismatch,
-    EmbeddingParams,
-    NotOrthonormal,
     apply_sketch,
-    coherence,
     make_sketch,
-    sample_size_lower_bound,
     sketch_from_descriptor,
 )
 from sketchlsq.rng import stream
@@ -44,47 +40,6 @@ def _sketch_reference(op, a):
     with np.errstate(over="ignore", invalid="ignore"):
         full = _wht_reference(work)
         return full[op.sampled_rows] * a.dtype.type(math.sqrt(op.m_pad / op.d))
-
-
-def test_sample_size_oracle():
-    # 2 * 100 * 1 * (1 + 0.5/3) * ln(100/0.01) / 0.25 = 8596.32, rounded up
-    p = EmbeddingParams(m=100, n=100, mu=1.0, eps=0.5, delta=0.01)
-    assert sample_size_lower_bound(p) == 8597
-
-
-def test_sample_size_shrinks_with_low_coherence():
-    base = EmbeddingParams(m=4096, n=64, mu=1.0, eps=0.5, delta=0.01)
-    flat = EmbeddingParams(m=4096, n=64, mu=64.0 / 4096.0, eps=0.5, delta=0.01)
-    assert sample_size_lower_bound(flat) * 60 < sample_size_lower_bound(base)
-
-
-def test_embedding_params_validation():
-    with pytest.raises(ValueError):
-        EmbeddingParams(m=10, n=20, mu=1.0, eps=0.5, delta=0.01)
-    with pytest.raises(ValueError):
-        EmbeddingParams(m=100, n=10, mu=0.0, eps=0.5, delta=0.01)
-    with pytest.raises(ValueError):
-        EmbeddingParams(m=100, n=10, mu=1.5, eps=0.5, delta=0.01)
-    with pytest.raises(ValueError):
-        # mu * m below n cannot hold for orthonormal columns
-        EmbeddingParams(m=100, n=50, mu=0.1, eps=0.5, delta=0.01)
-    with pytest.raises(ValueError):
-        EmbeddingParams(m=100, n=10, mu=1.0, eps=1.0, delta=0.01)
-    with pytest.raises(ValueError):
-        EmbeddingParams(m=100, n=10, mu=1.0, eps=0.5, delta=0.0)
-
-
-def test_coherence_oracle():
-    # orthonormal pair of scaled Hadamard columns spreads mass evenly
-    h = np.ones((8, 2)) / np.sqrt(8.0)
-    h[1::2, 1] *= -1.0
-    assert coherence(h) == pytest.approx(0.25, rel=1e-14)
-    assert coherence(np.eye(4)[:, :2]) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_coherence_rejects_nonorthonormal():
-    with pytest.raises(NotOrthonormal):
-        coherence(2.0 * np.eye(4)[:, :2])
 
 
 def test_make_sketch_is_deterministic():

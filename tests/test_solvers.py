@@ -353,3 +353,49 @@ def test_sketch_out_of_range_is_a_typed_overflow():
     a = p.a * (40000.0 / np.abs(p.a).max())
     with pytest.raises(Overflow, match="sketch exceeds the binary16 range"):
         build_preconditioner(a, transform="wht", level=BINARY16, seed=3)
+
+
+def test_pipeline_checks_a_for_finiteness_once(monkeypatch):
+    """One algorithm1_pipeline call makes one finiteness pass over m x n
+    input: the stages take the checked A, and its demoted binary16 copy,
+    as they are."""
+    p = generate_problem(300, 12, 1e2, 1e-6, seed=8)
+    isfinite = np.isfinite
+    passes = []
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == p.a.shape:
+            passes.append(np.asarray(x).dtype)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for precision, level in (("auto", BINARY16), ("double", BINARY64)):
+        for method in ("pne", "hpne"):
+            passes.clear()
+            report = algorithm1_pipeline(p.a, p.b, method=method,
+                                         precision=precision, seed=8)
+            assert report.preconditioner.computed_in is level
+            assert passes == [np.float64], (precision, method)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_preconditioner(np.where(p.a > 0, np.nan, p.a))
+
+
+def test_shared_products_keep_their_bits_and_their_cost():
+    """A LinearSystem's shared products are the standalone expressions, bit
+    for bit, and a row that reads one counts the time it took to form."""
+    p = generate_problem(400, 16, 1e4, 1e-6, seed=2)
+    system = dense._check_system(p.a, p.b, p.x_star)
+    factors = householder_qr(p.a)
+    assert np.array_equal(system.r, factors.r)
+    assert np.array_equal(system.q, factors.q)
+    assert np.array_equal(system.gram, p.a.T @ p.a)
+    assert np.array_equal(system.atb, p.a.T @ p.b)
+    assert system.diagnostics().singular_values.tobytes() == \
+        condition_diagnostics(p.a).singular_values.tobytes()
+    for method, names in (("qr", ("geqrf", "q")), ("sne", ("geqrf", "atb")),
+                          ("ne", ("gram", "atb"))):
+        spec = solvers.METHODS[method]
+        report = spec.solve(system, system.b, system.x_star, None, None)
+        assert report.x_hat.tobytes() == spec.solve(
+            p.a, p.b, p.x_star, None, None).x_hat.tobytes()
+        assert report.wall_ms >= 1e3 * system.cost(*names) > 0
