@@ -399,3 +399,8 @@ def test_shared_products_keep_their_bits_and_their_cost():
         assert report.x_hat.tobytes() == spec.solve(
             p.a, p.b, p.x_star, None, None).x_hat.tobytes()
         assert report.wall_ms >= 1e3 * system.cost(*names) > 0
+    with pytest.raises(ValueError, match="its own b"):
+        solve_normal(system, p.b.copy(), p.x_star)
+    for seed in (2, 3):
+        a_p = precondition_matrix(p.a, build_preconditioner(p.a, seed=seed))
+        assert np.array_equal(system.apta(a_p), a_p.T @ p.a)
