@@ -1,6 +1,9 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +44,57 @@ def test_solve_auto_reports_selection(tmp_path, capsys):
     assert main(["solve", "--problem", str(path), "--precision", "auto"]) == 0
     out = capsys.readouterr().out
     assert "binary16" in out
+
+
+# sha256 over the exit code and the stdout, minus the wall ms line, of 40
+# solves of two 600 x 20 archives: qr, ne and sne; pne and hpne at every
+# precision with each transform; and nne, with the other archive's A as B.
+# m < 2000 and n <= 128 keep geqrf unblocked and every product's summation
+# order independent of the BLAS thread count, so both counts share a digest.
+_SOLVE_PIN = "96ba58f5107ff68b995d599115a94d8f06a1cfd038429356fd56f6a641e029e8"
+_SOLVE_PIN_CODE = """
+import contextlib, hashlib, io, os, sys, tempfile
+from sketchlsq.cli import main
+h = hashlib.sha256()
+with tempfile.TemporaryDirectory() as tmp:
+    archives = []
+    for kappa, rho, seed in (("1e2", "1e-8", "1"), ("1e6", "1e-3", "2")):
+        path = os.path.join(tmp, "kappa" + kappa)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", "--m", "600", "--n", "20", "--kappa", kappa,
+                         "--rho", rho, "--seed", seed, "--out", path]) == 0
+        archives.append(path)
+    for path, other in zip(archives, archives[::-1]):
+        runs = [["--method", method] for method in ("qr", "ne", "sne")]
+        runs += [["--method", method, "--precision", precision,
+                  "--transform", transform]
+                 for method in ("pne", "hpne")
+                 for precision in ("auto", "half", "single", "double")
+                 for transform in ("dct2", "wht")]
+        runs.append(["--method", "nne", "--b-matrix", other])
+        for args in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["solve", "--problem", path, *args])
+            lines = [line for line in out.getvalue().splitlines()
+                     if not line.startswith("wall ms")]
+            h.update(repr([code, lines]).encode())
+print(h.hexdigest())
+"""
+
+
+def test_solve_output_matches_pinned_digest():
+    """40 solves, bit for bit apart from wall ms, at 1 and 2 BLAS threads
+    (each in a child, since the thread count is fixed when numpy loads)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _SOLVE_PIN_CODE], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.split() == [_SOLVE_PIN], threads
 
 
 def test_solve_nne_accepts_matrix_file_and_archive(tmp_path):
