@@ -171,11 +171,11 @@ class ProblemDiagnostics:
     a_p: np.ndarray | None = None
 
 
-def measure_problem(problem, pre=None, a_p=None):
+def measure_problem(problem, pre=None):
     """Measure the solution-independent diagnostics for bound evaluation.
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A and A_p^T A are then read rather than formed again.
+    whose shared R of A, A_p and A_p^T A are read, not formed again.
     """
     system = problem
     if not isinstance(problem, LinearSystem):
@@ -184,11 +184,7 @@ def measure_problem(problem, pre=None, a_p=None):
     if pre is None:
         return ProblemDiagnostics(norm_a=diag_a.two_norm,
                                   kappa_a=diag_a.two_norm_condition)
-    if a_p is None:
-        # imported here: solvers imports the bound formulas for its table
-        from .solvers import precondition_matrix
-
-        a_p = precondition_matrix(system, pre)
+    a_p = system.a_p(pre.r_s)
     diag_rs = condition_diagnostics(pre.r_s)
     diag_ap = condition_diagnostics(a_p)
     diag_apta = condition_diagnostics(system.apta(a_p))
@@ -205,25 +201,26 @@ def measure_problem(problem, pre=None, a_p=None):
     )
 
 
-def measure_bound_inputs(problem, report, pre=None, diagnostics=None):
+def measure_bound_inputs(problem, report, diagnostics=None):
     """Fill a BoundInputs record from a solved instance.
 
     Parameters
     ----------
     problem : LeastSquaresProblem or dense.LinearSystem
     report : SolveReport
-        Supplies x_hat, the solution whose error the bounds cap.
-    pre : Preconditioner or None
-        When given, the preconditioned quantities (kappa_rs, kappa_ap,
-        kappa_apta, nu_pne, nu_hpne, res_ratio_ap) are measured too.
+        Supplies x_hat, the solution whose error the bounds cap, its
+        residual norm and its preconditioner; with a preconditioner, the
+        preconditioned quantities (kappa_rs, kappa_ap, kappa_apta, nu_pne,
+        nu_hpne, res_ratio_ap) are measured too.
     diagnostics : ProblemDiagnostics or None
-        measure_problem's record for (problem, pre), to avoid re-measuring.
+        measure_problem's record for (problem, that preconditioner).
 
     u2 is the binary64 roundoff 2^-52 and u1 the bound-convention
     roundoff of the preconditioner precision (u2 when there is no
     preconditioner).  The backward-perturbation size eps_a is set to u2;
     eps_b stays None for the caller to fill.
     """
+    pre = report.preconditioner
     u2 = BINARY64.bound_roundoff
     u1 = pre.computed_in.bound_roundoff if pre is not None else u2
     if diagnostics is None:
@@ -232,8 +229,7 @@ def measure_bound_inputs(problem, report, pre=None, diagnostics=None):
     # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
     # near the binary64 range
     norm_x = float(linalg.norm(x_hat))
-    r = problem.a @ x_hat - problem.b
-    res_ratio_a = float(linalg.norm(r)) / (diagnostics.norm_a * norm_x)
+    res_ratio_a = report.residual_norm / (diagnostics.norm_a * norm_x)
     inputs = BoundInputs(
         kappa_a=diagnostics.kappa_a,
         u1=u1,

@@ -11,6 +11,7 @@ import sys
 
 from . import __version__
 from .bounds import measure_bound_inputs
+from .dense import _check_system
 from .errors import SketchLsqError
 from .harness import SweepConfig, rho_grid, run_benchmark, run_sweep
 from .mmio import read_matrix
@@ -95,6 +96,7 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     problem = load_problem(args.problem)
+    system = _check_system(problem.a, problem.b, problem.x_star)
     spec = METHOD_TABLE.get(args.method)
     if spec is None:  # nne, the one method outside the table
         if not args.b_matrix:
@@ -104,14 +106,13 @@ def _cmd_solve(args):
             b_matrix = load_problem(args.b_matrix).a
         else:
             b_matrix = read_matrix(args.b_matrix)
-        report = solve_notnormal(problem.a, b_matrix, problem.b,
-                                 problem.x_star)
+        report = solve_notnormal(system, b_matrix, system.b, system.x_star)
     elif spec.preconditioned:
         report = algorithm1_pipeline(
-            problem.a, problem.b, args.method, args.precision,
-            args.d_factor, args.transform, args.seed, problem.x_star)
+            system, system.b, args.method, args.precision,
+            args.d_factor, args.transform, args.seed, system.x_star)
     else:
-        report = spec.solve(problem.a, problem.b, problem.x_star, None, None)
+        report = spec.solve(system, None)
     print(f"method            {report.method}")
     print(f"shape             {problem.m} x {problem.n}")
     if report.precision_decision is not None:
@@ -120,7 +121,7 @@ def _cmd_solve(args):
               f"(overflowed={dec.overflowed})")
     if report.preconditioner is not None:
         pre = report.preconditioner
-        inputs = measure_bound_inputs(problem, report, pre)
+        inputs = measure_bound_inputs(system, report)
         print(f"precision         {pre.computed_in.name}")
         if report.escalated_from is not None:
             print(f"escalated from    {report.escalated_from.name}")

@@ -511,8 +511,9 @@ class LinearSystem:
     that several solves and diagnostics read are formed once, on first use,
     by the expression each reader used on its own, so with the same bits:
     gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
-    reflectors), apta(a_p) (a_p^T a) and norm_a (Frobenius).  cost(*names)
-    is the time their forming took, which a solve that reads them counts.
+    reflectors), a_p(r_s) (a r_s^{-1}) and apta(a_p) (a_p^T a), each kept
+    for its last argument, and norm_a (Frobenius).  cost(*names) is the
+    time their forming took, which a solve that reads them counts.
     A LinearSystem stands in for its a where a function takes A, and so
     has a's shape and dtype.
     """
@@ -521,12 +522,14 @@ class LinearSystem:
         self.a, self.b, self.x_star = a, b, x_star
         self._made = {}
 
-    def _shared(self, name, form):
-        if name not in self._made:
+    def _shared(self, name, form, key=None):
+        made = self._made.get(name)
+        if made is None or made[2] is not key:
             t0 = time.perf_counter()
             with np.errstate(all="ignore"):  # its readers check the range
-                self._made[name] = (form(), time.perf_counter() - t0)
-        return self._made[name][0]
+                made = self._made[name] = (form(), time.perf_counter() - t0,
+                                           key)
+        return made[0]
 
     @property
     def shape(self):
@@ -564,10 +567,12 @@ class LinearSystem:
     def q(self):
         return self._shared("q", lambda: _orgqr(*self._qr()[0]))
 
+    def a_p(self, r_s):
+        return self._shared("a_p", lambda: np.ascontiguousarray(
+            triangular_solve(r_s, self.a.T, transposed=True).T), r_s)
+
     def apta(self, a_p):
-        if "apta" in self._made and self._made["apta"][0][0] is not a_p:
-            del self._made["apta"]  # kept for another A_p
-        return self._shared("apta", lambda: (a_p, a_p.T @ self.a))[1]
+        return self._shared("apta", lambda: a_p.T @ self.a, a_p)
 
     def diagnostics(self):
         """condition_diagnostics(a), from the shared R where it takes one."""

@@ -5,10 +5,10 @@ point, several trials per point) with a set of methods, measures errors
 and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
 Each point checks A once into a dense.LinearSystem, whose QR of A (one
-geqrf for qr, sne and kappa(A)), A^T A, A^T b and A_p^T A every method
-and diagnostic of the point shares.  A row's wall_ms counts the products
-its method reads, at the time they took to form, but not the
-preconditioner.  Rows are a deterministic function of the config, the
+geqrf for qr, sne and kappa(A)), A^T A, A^T b, A_p and A_p^T A every
+method and diagnostic of the point shares.  A row's wall_ms counts the
+products its method reads, at the time they took to form, but not the
+preconditioner or A_p.  Rows are a deterministic function of the config, the
 BLAS build and its thread count, except for wall_ms: on another thread
 count the blocked geqrf (n >= 129) and the general products A_p^T A
 (from about m = 2000 on) round differently.
@@ -140,19 +140,19 @@ def _sweep_point(config, grid_index, rho, trial):
             rows.append(row)
         return rows
 
-    pre = a_p = None
+    pre = None
     level_name = ""
     pre_error = None
     if any(METHODS[method].preconditioned for method in config.methods):
         try:
             level, _ = resolve_precision(system, config.precision)
-            pre, a_p, _ = prepare_preconditioner(
+            pre, _, _ = prepare_preconditioner(
                 system, config.d_factor, config.transform, level, sub_seed)
             level_name = pre.computed_in.name
         except (SketchLsqError, ValueError) as exc:
             pre_error = exc
 
-    diagnostics = measure_problem(system, pre, a_p)
+    diagnostics = measure_problem(system, pre)
     d = sketch_rows(config.d_factor, config.n)
     rows = []
     for method in config.methods:
@@ -165,11 +165,8 @@ def _sweep_point(config, grid_index, rho, trial):
         try:
             if spec.preconditioned and pre_error is not None:
                 raise pre_error
-            report = spec.solve(system, system.b, system.x_star, pre,
-                                a_p)
-            inputs = measure_bound_inputs(
-                system, report, pre if spec.preconditioned else None,
-                diagnostics=diagnostics)
+            report = spec.solve(system, pre)
+            inputs = measure_bound_inputs(system, report, diagnostics)
             row["rel_error"] = report.relative_error
             row["rel_residual"] = inputs.res_ratio_a
             row["wall_ms"] = report.wall_ms

@@ -12,7 +12,7 @@ and the two-sided generalization B^T A x = B^T b round out the family.
 Every function here that takes A also takes a dense.LinearSystem in its
 place (a solve then takes that system's own b and x_star): its A was
 checked once, and the products of A that several solves and diagnostics
-read are formed once.
+read are formed once, A_p = A R_s^{-1} among them.
 """
 
 import math
@@ -82,7 +82,8 @@ class SolveReport:
     in the system's record that the method reads (the QR of A for qr and
     sne, A^T A for ne, A^T b for ne and sne, A_p^T A for hpne) at the time
     they took to form, even when another solve or a diagnostic formed them
-    first; a preconditioner passed in is not counted.  lu_fallback is True
+    first; a preconditioner passed in, and an A_p formed before the call,
+    are not counted.  lu_fallback is True
     when pne's Cholesky factorization of the preconditioned Gram matrix
     failed and LU solved that system instead.
     """
@@ -249,11 +250,12 @@ def precondition_matrix(a, pre):
     """Form A_p = a @ r_s^{-1} by triangular solves.
 
     pre is left unchanged.  All arithmetic is binary64 regardless of the
-    precision the factor was computed in.
+    precision the factor was computed in.  A dense.LinearSystem forms it
+    once per r_s.
     """
-    a = _matrix_of(a).astype(np.float64, copy=False)
-    xt = triangular_solve(pre.r_s, a.T, transposed=True)
-    return np.ascontiguousarray(xt.T)
+    if not isinstance(a, LinearSystem):
+        a = LinearSystem(_as_matrix(a).astype(np.float64, copy=False))
+    return a.a_p(pre.r_s)
 
 
 def solve_pne(a, b, pre, x_star=None, a_p=None):
@@ -261,8 +263,8 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
 
     Solves A_p^T A_p y = A_p^T b by Cholesky (falling back to LU when the
     preconditioned Gram matrix is not numerically definite), then recovers
-    x from R_s x = y.  Pass a_p to reuse a previously formed
-    preconditioned matrix; otherwise it is formed here.
+    x from R_s x = y.  A_p is the system's own; a_p is for callers that
+    pass a raw matrix and formed A_p themselves.
     """
     system = _check_system(a, b, x_star)
     t0 = time.perf_counter()
@@ -287,7 +289,7 @@ def solve_hpne(a, b, pre, x_star=None, a_p=None):
 
     Solves the nonsymmetric n x n system A_p^T A x = A_p^T b by LU with
     partial pivoting; no triangular recovery step is needed since the
-    unknowns are already x.
+    unknowns are already x.  a_p is as for solve_pne.
     """
     system = _check_system(a, b, x_star)
     t0 = time.perf_counter() - system.cost("apta")
@@ -311,7 +313,9 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
     Returns
     -------
     (pre, a_p, escalated_from) : tuple
-        escalated_from is the precision that failed, or None.
+        a_p is kept in a's record when a is a dense.LinearSystem, for the
+        solves and diagnostics to read; escalated_from is the precision
+        that failed, or None.
     """
     escalated_from = None
     while True:
@@ -354,9 +358,9 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
         raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
     level, decision = resolve_precision(system, precision)
-    pre, a_p, escalated_from = prepare_preconditioner(
+    pre, _, escalated_from = prepare_preconditioner(
         system, d_factor, transform, level, seed)
-    report = spec.solve(system, system.b, system.x_star, pre, a_p)
+    report = spec.solve(system, pre)
     report.precision_decision = decision
     report.escalated_from = escalated_from
     report.wall_ms = (time.perf_counter() - t0) * 1e3
@@ -367,10 +371,10 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
 class Method:
     """One entry of the method table shared by the pipeline, CLI and sweep.
 
-    solve(a, b, x_star, pre, a_p) returns a SolveReport (a may be a
-    dense.LinearSystem, with its own b and x_star); only preconditioned
-    methods read pre and a_p.  bound(inputs, variant), when set, is the
-    method's own error bound, filling the sweep's bound_<name>_old/new.
+    solve(system, pre) returns a SolveReport on a dense.LinearSystem, with
+    its own b, x_star and A_p; only preconditioned methods read pre.
+    bound(inputs, variant), when set, is the method's own error bound,
+    filling the sweep's bound_<name>_old/new.
     """
 
     solve: Callable
@@ -381,17 +385,13 @@ class Method:
 # Entries call through this module's names, so a wrapper installed on one
 # (a profiler's, say) sees the call.  nne is left out: it needs a matrix B.
 METHODS = {
-    "qr": Method(lambda a, b, x_star, pre, a_p:
-                 solve_qr_baseline(a, b, x_star)),
-    "ne": Method(lambda a, b, x_star, pre, a_p: solve_normal(a, b, x_star)),
-    "pne": Method(lambda a, b, x_star, pre, a_p:
-                  solve_pne(a, b, pre, x_star=x_star, a_p=a_p),
+    "qr": Method(lambda s, pre: solve_qr_baseline(s, s.b, s.x_star)),
+    "ne": Method(lambda s, pre: solve_normal(s, s.b, s.x_star)),
+    "pne": Method(lambda s, pre: solve_pne(s, s.b, pre, x_star=s.x_star),
                   preconditioned=True,
                   bound=lambda inputs, variant: bound_pne(inputs, variant)),
-    "hpne": Method(lambda a, b, x_star, pre, a_p:
-                   solve_hpne(a, b, pre, x_star=x_star, a_p=a_p),
+    "hpne": Method(lambda s, pre: solve_hpne(s, s.b, pre, x_star=s.x_star),
                    preconditioned=True,
                    bound=lambda inputs, variant: bound_hpne(inputs, variant)),
-    "sne": Method(lambda a, b, x_star, pre, a_p:
-                  solve_seminormal(a, b, x_star)),
+    "sne": Method(lambda s, pre: solve_seminormal(s, s.b, s.x_star)),
 }

@@ -27,6 +27,7 @@ from sketchlsq import (
     solve_pne,
 )
 from sketchlsq.bounds import BoundInputs, measure_problem
+from sketchlsq.dense import _check_system
 from sketchlsq.solvers import METHODS
 
 U52 = 2.0 ** -52
@@ -117,11 +118,10 @@ def test_measured_inputs_satisfy_norm_identities():
         p = generate_problem(400, 30, 1e4, 1e-4, seed=seed)
         pre = build_preconditioner(p.a, seed=seed)
         a_p = precondition_matrix(p.a, pre)
-        diag = measure_problem(p, pre=pre, a_p=a_p)
+        diag = measure_problem(p, pre=pre)
         for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p),
                        solve_hpne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)):
-            inputs = measure_bound_inputs(p, report, pre=pre,
-                                          diagnostics=diag)
+            inputs = measure_bound_inputs(p, report, diagnostics=diag)
             if report.method == "pne":
                 assert inputs.nu_pne <= 1.0 + 1e-12
                 assert inputs.nu_pne > 0.0
@@ -135,6 +135,23 @@ def test_measured_inputs_satisfy_norm_identities():
                 a_p).two_norm_condition
 
 
+def test_measured_residual_ratio_reads_the_report():
+    """res_ratio_a is the report's norm(A x_hat - b) over norm(A) norm(x_hat):
+    the residual is read from the report, not formed again."""
+    p = generate_problem(300, 20, 1e4, 1e-6, seed=3)
+    pre = build_preconditioner(p.a, seed=3)
+    diag = measure_problem(p, pre)
+    for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star),
+                   solve_hpne(p.a, p.b, pre, x_star=p.x_star)):
+        inputs = measure_bound_inputs(p, report, diagnostics=diag)
+        assert inputs.res_ratio_a == pytest.approx(
+            np.linalg.norm(p.a @ report.x_hat - p.b)
+            / (diag.norm_a * np.linalg.norm(report.x_hat)), rel=1e-12)
+        doubled = replace(report, residual_norm=2.0 * report.residual_norm)
+        assert measure_bound_inputs(p, doubled, diagnostics=diag) \
+            .res_ratio_a == 2.0 * inputs.res_ratio_a
+
+
 def test_measured_u1_follows_preconditioner_precision():
     from sketchlsq import BINARY32
 
@@ -142,7 +159,7 @@ def test_measured_u1_follows_preconditioner_precision():
     pre = build_preconditioner(p.a, level=BINARY32, seed=2)
     a_p = precondition_matrix(p.a, pre)
     report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
-    inputs = measure_bound_inputs(p, report, pre=pre)
+    inputs = measure_bound_inputs(p, report)
     assert inputs.u1 == U23
     assert inputs.u2 == U52
 
@@ -153,7 +170,7 @@ def test_measured_error_below_new_bound():
         pre = build_preconditioner(p.a, seed=seed)
         a_p = precondition_matrix(p.a, pre)
         report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
-        inputs = measure_bound_inputs(p, report, pre=pre)
+        inputs = measure_bound_inputs(p, report)
         assert report.relative_error <= bound_pne(inputs, variant="new")
 
 
@@ -174,8 +191,8 @@ def test_measured_residual_ratios_are_finite_near_the_range():
                 pre = None
                 if spec.preconditioned:
                     pre = build_preconditioner(q.a, seed=4)
-                report = spec.solve(q.a, q.b, None, pre, None)
-                measured.append(measure_bound_inputs(q, report, pre))
+                report = spec.solve(_check_system(q.a, q.b), pre)
+                measured.append(measure_bound_inputs(q, report))
             base, scaled = measured
             names = ["res_ratio_a"]
             if spec.preconditioned:

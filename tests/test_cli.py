@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sketchlsq import NotPositiveDefinite, load_problem, solvers
+from sketchlsq import NotPositiveDefinite, dense, load_problem, solvers
 from sketchlsq.cli import main
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS
 from sketchlsq.mmio import read_matrix, write_matrix
@@ -95,6 +95,36 @@ def test_solve_output_matches_pinned_digest():
         out = subprocess.run([sys.executable, "-c", _SOLVE_PIN_CODE], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.split() == [_SOLVE_PIN], threads
+
+
+def test_solve_checks_a_and_forms_a_p_once(tmp_path, monkeypatch, capsys):
+    """One preconditioned solve, with its diagnosis, makes one finiteness
+    pass over A and one triangular solve with A's m rows as right-hand
+    sides (the one that forms A_p)."""
+    path = _gen(tmp_path)
+    a = load_problem(path).a
+    isfinite, solve = np.isfinite, dense.triangular_solve
+    passes, a_p_solves = [], []
+
+    def counting_isfinite(x, *args, **kwargs):
+        if np.shape(x) == a.shape and np.array_equal(x, a):
+            passes.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    def counting_solve(r, rhs, *args, **kwargs):
+        if np.shape(rhs) == a.T.shape:
+            a_p_solves.append(rhs)
+        return solve(r, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    monkeypatch.setattr(dense, "triangular_solve", counting_solve)
+    monkeypatch.setattr(solvers, "triangular_solve", counting_solve)
+    for method in ("pne", "hpne"):
+        passes.clear()
+        a_p_solves.clear()
+        assert main(["solve", "--problem", str(path), "--method", method]) == 0
+        assert "kappa(A_p)" in capsys.readouterr().out
+        assert (len(passes), len(a_p_solves)) == (1, 1), method
 
 
 def test_solve_nne_accepts_matrix_file_and_archive(tmp_path):

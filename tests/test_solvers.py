@@ -25,6 +25,7 @@ from sketchlsq import (
     solve_seminormal,
 )
 from sketchlsq import dense, solvers
+from sketchlsq.solvers import prepare_preconditioner
 
 
 def test_qr_baseline_recovers_planted_solution():
@@ -395,12 +396,31 @@ def test_shared_products_keep_their_bits_and_their_cost():
     for method, names in (("qr", ("geqrf", "q")), ("sne", ("geqrf", "atb")),
                           ("ne", ("gram", "atb"))):
         spec = solvers.METHODS[method]
-        report = spec.solve(system, system.b, system.x_star, None, None)
+        report = spec.solve(system, None)
         assert report.x_hat.tobytes() == spec.solve(
-            p.a, p.b, p.x_star, None, None).x_hat.tobytes()
+            dense._check_system(p.a, p.b, p.x_star), None).x_hat.tobytes()
         assert report.wall_ms >= 1e3 * system.cost(*names) > 0
     with pytest.raises(ValueError, match="its own b"):
         solve_normal(system, p.b.copy(), p.x_star)
     for seed in (2, 3):
         a_p = precondition_matrix(p.a, build_preconditioner(p.a, seed=seed))
         assert np.array_equal(system.apta(a_p), a_p.T @ p.a)
+
+
+def test_shared_a_p_is_kept_per_factor():
+    """A LinearSystem's A_p is the standalone triangular-solve expression,
+    bit for bit; prepare_preconditioner's A_p is the system's own, read
+    again for the same factor and formed again for another."""
+    p = generate_problem(400, 16, 1e4, 1e-6, seed=2)
+    system = dense._check_system(p.a, p.b, p.x_star)
+    pre, a_p, _ = prepare_preconditioner(system, seed=2)
+    assert np.array_equal(a_p, np.ascontiguousarray(dense.triangular_solve(
+        pre.r_s, p.a.T, transposed=True).T))
+    assert a_p is system.a_p(pre.r_s) is precondition_matrix(system, pre)
+    assert solve_pne(system, system.b, pre, system.x_star).x_hat.tobytes() \
+        == solve_pne(p.a, p.b, pre, p.x_star, a_p=a_p).x_hat.tobytes()
+    other = build_preconditioner(p.a, seed=3)
+    assert np.array_equal(system.a_p(other.r_s),
+                          precondition_matrix(p.a, other))
+    again = system.a_p(pre.r_s)
+    assert again is not a_p and np.array_equal(again, a_p)
