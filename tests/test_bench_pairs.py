@@ -88,3 +88,11 @@ def test_a_run_without_a_result_keeps_its_exit_and_stderr_tail():
         "q1": 14.25, "median": 14.5, "q3": 14.75}
     assert summary["op_vs_lstsq_p50"]["change_lower_in"] == 2
     assert summary["exit"]["change"]["q3"] == 0.5
+
+
+def test_import_seconds_times_the_checkouts_own_sketchlsq(tmp_path):
+    bench = _bench_pairs()
+    seconds = bench.import_seconds(ROOT)
+    assert isinstance(seconds, float) and 0.0 < seconds < 60.0
+    # a checkout without sources gives None, not another install's time
+    assert bench.import_seconds(str(tmp_path)) is None

@@ -7,7 +7,10 @@ k --trace 0`` for run_seconds in both checkouts, the parent first in odd pairs.
 Recorded: each side's machine record; each run's exit code, its ``check
 failed:`` lines, and its metrics and minor faults per op (RUSAGE_CHILDREN,
 set-up included), or, when its stdout ends without a result, the last lines of
-its stderr; and per side the quartiles over the runs that gave a result.
+its stderr; after each run, the seconds a fresh ``python3 -c`` child with BLAS
+pinned to one thread (as run.py pins it) takes to import that side's
+``sketchlsq`` (``import_s``, None if it fails), the import part of ``setup_s``;
+and per side the quartiles over the runs that gave a result.
 """
 
 import argparse
@@ -23,6 +26,17 @@ SIDES = ("parent", "change")
 QUARTILES = ("q1", "median", "q3")
 PAIRS = 10
 STDERR_LINES = 20
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+IMPORT_CODE = """
+import os, sys, time
+sys.path.insert(0, os.path.abspath("src"))
+t0 = time.perf_counter()
+import sketchlsq
+seconds = time.perf_counter() - t0
+assert os.path.abspath(sketchlsq.__file__).startswith(sys.path[0] + os.sep)
+print(seconds)
+"""
 
 
 def parse(stdout):
@@ -51,6 +65,15 @@ def outcome(returncode, stdout, stderr, faults):
     return machine, record
 
 
+def import_seconds(cwd):
+    """Seconds a fresh child takes to import sketchlsq from cwd/src, with
+    BLAS on one thread; None when the import fails or comes from elsewhere."""
+    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    return float(proc.stdout) if proc.returncode == 0 else None
+
+
 def run(cwd, workload, seed, seconds):
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
@@ -58,7 +81,10 @@ def run(cwd, workload, seed, seconds):
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=cwd, capture_output=True, text=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    return outcome(proc.returncode, proc.stdout, proc.stderr, faults)
+    machine, record = outcome(proc.returncode, proc.stdout, proc.stderr,
+                              faults)
+    record["import_s"] = import_seconds(cwd)
+    return machine, record
 
 
 def _quartiles(values):
