@@ -34,7 +34,8 @@ sys.path.insert(0, os.path.abspath("src"))
 t0 = time.perf_counter()
 import sketchlsq
 seconds = time.perf_counter() - t0
-assert os.path.abspath(sketchlsq.__file__).startswith(sys.path[0] + os.sep)
+if not os.path.abspath(sketchlsq.__file__).startswith(sys.path[0] + os.sep):
+    sys.exit(f"imported {sketchlsq.__file__}")
 print(seconds)
 """
 
