@@ -158,6 +158,35 @@ def test_sweep_rows_match_pinned_digests():
         assert out.stdout.split() == digests, threads
 
 
+# The same two sweeps, hashed over every cell but wall_ms, kappa_ap and the
+# bounds that read kappa(A_p) or norm(A_p): the columns that a change of
+# route to kappa(A_p) moves by rounding.  The others keep these digests.
+_AP_COLUMNS = ("wall_ms", "kappa_ap", "bound_pne_old", "bound_pne_new",
+               "bound_hpne_old", "bound_hpne_new")
+_SWEEP_PINS_BUT_AP = {
+    "1": ["39f4466aec7baac54be18c076dac9c6d9ddafd2beca6e88be2c59b937df37111",
+          "720c73f74a54887fedd73535706150b0590830bb7215c4bc89036564685bbc79"],
+    "2": ["4a149fc1b559b7c783b8b9db27b73f68f043b7c46581b6085adc030466619a92",
+          "720c73f74a54887fedd73535706150b0590830bb7215c4bc89036564685bbc79"],
+}
+
+
+def test_sweep_rows_but_the_a_p_columns_match_pinned_digests():
+    """Both sweeps, bit for bit apart from _AP_COLUMNS, at 1 and 2 BLAS
+    threads."""
+    code = _SWEEP_PIN_CODE.replace('col != "wall_ms"',
+                                   f"col not in {_AP_COLUMNS!r}")
+    assert code != _SWEEP_PIN_CODE
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    for threads, digests in _SWEEP_PINS_BUT_AP.items():
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.split() == digests, threads
+
+
 def _one_point(**overrides):
     cfg = _small_config(methods=("qr", "ne", "pne", "hpne", "sne"),
                         precision="auto", rho_grid=rho_grid(1e-6, 1e-6, 1),
