@@ -7,7 +7,12 @@ fills the record from an actual problem/solution pair, using the LAPACK
 singular values of condition_diagnostics for every norm and condition
 number (never the bound being tested), so the sweep comparisons are honest.
 The solvers compute no diagnostics; measure_problem, run after a solve,
-is the one place that measures kappa(A), kappa(R_s) and kappa(A_p).
+is the one place that measures kappa(A), kappa(R_s) and kappa(A_p).  It
+reads kappa(A_p) and norm(A_p) from the n x n matrix R_A R_s^-1, where R_A
+is the R of the system's one QR of A: A_p = A R_s^-1 = Q (R_A R_s^-1), so
+the two have the same singular values in exact arithmetic, and the m x n
+A_p is never factored (the identity of randomized Cholesky QR: Balabanov
+2022; Higgins, Szyld, Boman & Yamazaki 2023).
 
 Conventions: u1 is the roundoff of the preconditioner precision, u2 of the
 working precision; residual ratios are norm(residual) / (norm(matrix) *
@@ -21,7 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .dense import LinearSystem, _check_system, condition_diagnostics
+from .dense import (
+    LinearSystem,
+    _check_system,
+    condition_diagnostics,
+    triangular_solve,
+)
 from .errors import MissingField, PoleAtOne
 from .precision import BINARY64
 
@@ -157,7 +167,10 @@ class ProblemDiagnostics:
     """Norms and condition numbers that depend only on (a, r_s), not on x_hat.
 
     Computed once per problem and shared across per-method bound
-    measurements in the sweep harness.
+    measurements in the sweep harness.  norm_ap and kappa_ap are those of
+    R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular values; a_p
+    is the system's A_p itself, from which measure_bound_inputs forms the
+    preconditioned residual.
     """
 
     norm_a: float
@@ -176,6 +189,9 @@ def measure_problem(problem, pre=None):
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
     whose shared R of A, A_p and A_p^T A are read, not formed again.
+    kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
+    one triangular solve with the shared R_A whatever the shape, not of the
+    m x n A_p.
     """
     system = problem
     if not isinstance(problem, LinearSystem):
@@ -186,7 +202,10 @@ def measure_problem(problem, pre=None):
                                   kappa_a=diag_a.two_norm_condition)
     a_p = system.a_p(pre.r_s)
     diag_rs = condition_diagnostics(pre.r_s)
-    diag_ap = condition_diagnostics(a_p)
+    # A_p = A R_s^-1 = Q (R_A R_s^-1): the n x n factor has A_p's singular
+    # values, so A_p itself is not factored
+    diag_ap = condition_diagnostics(
+        triangular_solve(pre.r_s, system.r.T, transposed=True).T)
     diag_apta = condition_diagnostics(system.apta(a_p))
     return ProblemDiagnostics(
         norm_a=diag_a.two_norm,

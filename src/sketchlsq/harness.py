@@ -5,8 +5,9 @@ point, several trials per point) with a set of methods, measures errors
 and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
 Each point checks A once into a dense.LinearSystem, whose QR of A (one
-geqrf for qr, sne and kappa(A)), A^T A, A^T b, A_p and A_p^T A every
-method and diagnostic of the point shares.  A row's wall_ms counts the
+geqrf for qr, sne, kappa(A) and, by its R, kappa(A_p)), A^T A, A^T b, A_p
+and A_p^T A every method and diagnostic of the point shares: the point
+factors no other matrix with A's m rows.  A row's wall_ms counts the
 products its method reads, at the time they took to form, but not the
 preconditioner or A_p.  Rows are a deterministic function of the config, the
 BLAS build and its thread count, except for wall_ms: on another thread

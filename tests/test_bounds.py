@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from sketchlsq import (
+    BINARY16,
+    BINARY32,
+    BINARY64,
     MissingField,
     PoleAtOne,
     bound_hpne,
@@ -25,9 +28,10 @@ from sketchlsq import (
     precondition_matrix,
     solve_hpne,
     solve_pne,
+    triangular_solve,
 )
 from sketchlsq.bounds import BoundInputs, measure_problem
-from sketchlsq.dense import _check_system
+from sketchlsq.dense import _check_system, qr_r_factor
 from sketchlsq.solvers import METHODS
 
 U52 = 2.0 ** -52
@@ -132,7 +136,28 @@ def test_measured_inputs_satisfy_norm_identities():
             assert inputs.kappa_rs == condition_diagnostics(
                 pre.r_s).two_norm_condition
             assert inputs.kappa_ap == condition_diagnostics(
-                a_p).two_norm_condition
+                triangular_solve(pre.r_s, qr_r_factor(p.a).T,
+                                 transposed=True).T).two_norm_condition
+
+
+@pytest.mark.parametrize("kappa, level", [
+    (1e2, BINARY16), (1e2, BINARY32), (1e2, BINARY64),
+    (1e6, BINARY32), (1e6, BINARY64),
+    (1e10, BINARY32), (1e10, BINARY64)])
+def test_kappa_ap_from_the_r_of_a_agrees_with_a_p(kappa, level):
+    """kappa(A_p) and norm(A_p) measured on the n x n R_A R_s^-1 agree with
+    those of the m x n A_p to within u kappa(A), relative.  (A binary16
+    preconditioner loses rank from kappa about 1e3 on, so it is covered at
+    1e2 alone.)"""
+    for seed in range(3):
+        p = generate_problem(400, 30, kappa, 1e-6, seed=seed)
+        pre = build_preconditioner(p.a, level=level, seed=seed)
+        direct = condition_diagnostics(precondition_matrix(p.a, pre))
+        diag = measure_problem(p, pre)
+        assert diag.kappa_ap == pytest.approx(direct.two_norm_condition,
+                                              rel=U52 * kappa, abs=0)
+        assert diag.norm_ap == pytest.approx(direct.two_norm,
+                                             rel=U52 * kappa, abs=0)
 
 
 def test_measured_residual_ratio_reads_the_report():

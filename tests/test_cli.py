@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchlsq import NotPositiveDefinite, dense, load_problem, solvers
 from sketchlsq.cli import main
@@ -125,6 +126,26 @@ def test_solve_checks_a_and_forms_a_p_once(tmp_path, monkeypatch, capsys):
         assert main(["solve", "--problem", str(path), "--method", method]) == 0
         assert "kappa(A_p)" in capsys.readouterr().out
         assert (len(passes), len(a_p_solves)) == (1, 1), method
+
+
+def test_solve_runs_one_qr_on_m_rows(tmp_path, monkeypatch, capsys):
+    """A preconditioned solve, with its diagnosis, runs one QR with A's m
+    rows, the geqrf of A that kappa(A) and kappa(A_p) are read from."""
+    path = _gen(tmp_path)
+    m = load_problem(path).m
+    qr = scipy.linalg.qr
+    tall = []
+
+    def counting(x, *args, **kwargs):
+        tall.append(x.shape[0] == m)
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    for method in ("pne", "hpne"):
+        tall.clear()
+        assert main(["solve", "--problem", str(path), "--method", method]) == 0
+        assert "kappa(A_p)" in capsys.readouterr().out
+        assert sum(tall) == 1, method
 
 
 def test_solve_nne_accepts_matrix_file_and_archive(tmp_path):

@@ -16,10 +16,10 @@ from sketchlsq import (
     build_preconditioner,
     condition_diagnostics,
     generate_problem,
-    precondition_matrix,
     rho_grid,
     run_benchmark,
     run_sweep,
+    triangular_solve,
 )
 from sketchlsq import dense, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
@@ -92,7 +92,8 @@ def test_sweep_bounds_attached_per_method():
 
 def test_sweep_kappa_columns_measure_its_preconditioner():
     """kappa_rs and kappa_ap are the condition numbers of the R_s and A_p
-    that the row's solve used, rebuilt here from the row's seed."""
+    that the row's solve used, rebuilt here from the row's seed: kappa_ap
+    is taken from R_A R_s^-1, where R_A is the R of A's QR."""
     cfg = _small_config(trials_per_point=1)
     for row in run_sweep(cfg):
         if row["method"] not in ("pne", "hpne"):
@@ -100,11 +101,11 @@ def test_sweep_kappa_columns_measure_its_preconditioner():
         p = generate_problem(cfg.m, cfg.n, cfg.kappa, row["rho"], row["seed"])
         pre = build_preconditioner(p.a, cfg.d_factor, cfg.transform,
                                    BINARY64, row["seed"])
-        a_p = precondition_matrix(p.a, pre)
         assert row["kappa_rs"] == condition_diagnostics(
             pre.r_s).two_norm_condition
         assert row["kappa_ap"] == condition_diagnostics(
-            a_p).two_norm_condition
+            triangular_solve(pre.r_s, dense.qr_r_factor(p.a).T,
+                             transposed=True).T).two_norm_condition
 
 
 def test_sweep_is_deterministic_up_to_timing():
@@ -122,10 +123,10 @@ def test_sweep_is_deterministic_up_to_timing():
 # 2000 x 32 sums in another order on two BLAS threads than on one: the first
 # sweep's hpne rows differ, so it has one digest per thread count.
 _SWEEP_PINS = {
-    "1": ["e548f54210c165b5ba320080ec7ee2dd0fbffb26c2a634c38442b40f62cfd615",
-          "24094c213444448d08b89fd07bbfc3014843d97c04a32e6899bd483ec024d5ba"],
-    "2": ["b427777c8f8c20e0b5a719f95e2ec1c62b8eec4dc2ce792bf4bcb108425dc9ed",
-          "24094c213444448d08b89fd07bbfc3014843d97c04a32e6899bd483ec024d5ba"],
+    "1": ["c5f841975e408fe22a119fef9189deca95cdc5e142bd841d16e999beb1de181c",
+          "6bb43f5001ce73de486b03864451248058bbe378a9ab1a1bbe60e0433d617adc"],
+    "2": ["50a664254aa39255e71dbc6189fb5fbdcc33c77713aa71ffccd4f2c26d48e448",
+          "6bb43f5001ce73de486b03864451248058bbe378a9ab1a1bbe60e0433d617adc"],
 }
 _SWEEP_PIN_CODE = """
 import hashlib
@@ -209,6 +210,23 @@ def test_sweep_point_factors_a_once(monkeypatch):
     rows = run_sweep(cfg)
     assert all(row["error"] == "" for row in rows)
     assert sum(factored) == 1
+
+
+def test_sweep_point_runs_one_qr_on_m_rows(monkeypatch):
+    """The geqrf of A is the point's one QR with A's m rows: kappa(A_p) is
+    read from its R, and A_p is not factored."""
+    cfg, _ = _one_point()
+    qr = scipy.linalg.qr
+    tall = []
+
+    def counting(x, *args, **kwargs):
+        tall.append(x.shape[0] == cfg.m)
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    rows = run_sweep(cfg)
+    assert all(row["error"] == "" for row in rows)
+    assert sum(tall) == 1
 
 
 def test_auto_sweep_point_forms_the_gram_matrix_once(monkeypatch):
