@@ -67,6 +67,13 @@ def test_outcome_keeps_the_failed_checks_of_a_run():
     assert record["minflt_per_op"] == 2.5
 
 
+def test_outcome_records_the_attempted_and_failed_ops():
+    stdout = _stdout(14.6).replace('"failed": 0', '"failed": 1')
+    record = _bench_pairs().outcome(1, stdout, "", 250)[1]
+    assert (record["attempted"], record["failed"]) == (100, 1)
+    assert record["op_vs_lstsq_p50"] == 14.6
+
+
 def test_a_run_without_a_result_keeps_its_exit_and_stderr_tail():
     bench = _bench_pairs()
     stdout = _stdout(14.6).splitlines()[0] + "\n"  # the machine line only

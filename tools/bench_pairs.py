@@ -5,12 +5,14 @@
 Per workload of BENCHMARK.json, pair k = 1..10 runs ``perfbench/run.py --seed
 k --trace 0`` for run_seconds in both checkouts, the parent first in odd pairs.
 Recorded: each side's machine record; each run's exit code, its ``check
-failed:`` lines, and its metrics and minor faults per op (RUSAGE_CHILDREN,
-set-up included), or, when its stdout ends without a result, the last lines of
-its stderr; after each run, the seconds a fresh ``python3 -c`` child with BLAS
-pinned to one thread (as run.py pins it) takes to import that side's
-``sketchlsq`` (``import_s``, None if it fails), the import part of ``setup_s``;
-and per side the quartiles over the runs that gave a result.
+failed:`` lines, and its metrics, its counts of attempted and failed ops (a
+faster side runs more ops, and so can reach a failing one that the other side
+never runs) and its minor faults per op (RUSAGE_CHILDREN, set-up included),
+or, when its stdout ends without a result, the last lines of its stderr;
+after each run, the seconds a fresh ``python3 -c`` child with BLAS pinned to
+one thread (as run.py pins it) takes to import that side's ``sketchlsq``
+(``import_s``, None if it fails), the import part of ``setup_s``; and per side
+the quartiles over the runs that gave a result.
 """
 
 import argparse
@@ -62,6 +64,7 @@ def outcome(returncode, stdout, stderr, faults):
         record["stderr_tail"] = stderr.strip().splitlines()[-STDERR_LINES:]
     else:
         record.update({k: v["value"] for k, v in result["metrics"].items()})
+        record.update({k: result[k] for k in ("attempted", "failed")})
         record["minflt_per_op"] = faults / result["attempted"]
     return machine, record
 
