@@ -202,8 +202,6 @@ def measure_problem(problem, pre=None):
                                   kappa_a=diag_a.two_norm_condition)
     a_p = system.a_p(pre.r_s)
     diag_rs = condition_diagnostics(pre.r_s)
-    # A_p = A R_s^-1 = Q (R_A R_s^-1): the n x n factor has A_p's singular
-    # values, so A_p itself is not factored
     diag_ap = condition_diagnostics(
         triangular_solve(pre.r_s, system.r.T, transposed=True).T)
     diag_apta = condition_diagnostics(system.apta(a_p))
