@@ -53,10 +53,6 @@ class BoundInputs:
     res_ratio_a: float | None = None
     res_ratio_ap: float | None = None
 
-    def updated(self, **kwargs):
-        """Copy with some fields replaced (records are frozen)."""
-        return replace(self, **kwargs)
-
 
 def _need(inputs, *names):
     for name in names:
@@ -259,7 +255,8 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     y = pre.r_s @ x_hat
     norm_y = float(linalg.norm(y))
     r_p = diagnostics.a_p @ y - problem.b
-    return inputs.updated(
+    return replace(
+        inputs,
         kappa_rs=diagnostics.kappa_rs,
         kappa_ap=diagnostics.kappa_ap,
         kappa_apta=diagnostics.kappa_apta,

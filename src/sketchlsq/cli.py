@@ -13,7 +13,8 @@ from . import __version__
 from .bounds import measure_bound_inputs
 from .dense import _check_system
 from .errors import SketchLsqError
-from .harness import SweepConfig, rho_grid, run_benchmark, run_sweep
+from .harness import BENCH_COLUMNS, CSV_COLUMNS, SweepConfig, rho_grid
+from .harness import run_benchmark, run_sweep, write_csv
 from .mmio import read_matrix
 from .probgen import generate_problem, load_problem, save_problem
 from .sketch import TRANSFORMS
@@ -147,8 +148,9 @@ def _cmd_sweep(args):
         rho_grid=rho_grid(args.rho_min, args.rho_max, args.rho_points),
         methods=methods, precision=args.precision, d_factor=args.d_factor,
         transform=args.transform, trials_per_point=args.trials,
-        seed=args.seed, output_path=args.csv)
+        seed=args.seed)
     rows = run_sweep(config)
+    write_csv(args.csv, rows, CSV_COLUMNS)
     failures = sum(1 for row in rows if row["error"])
     print(f"wrote {args.csv}: {len(rows)} rows, {failures} failed solves")
     return 0
@@ -157,8 +159,7 @@ def _cmd_sweep(args):
 def _cmd_bench(args):
     n_list = tuple(int(s) for s in args.n_list.split(",") if s.strip())
     rows = run_benchmark(m=args.m, n_list=n_list, kappa=args.kappa,
-                         rho=args.rho, trials=args.trials, seed=args.seed,
-                         output_path=args.csv)
+                         rho=args.rho, trials=args.trials, seed=args.seed)
     header = f"{'method':<12}{'n':>6}{'median_ms':>12}{'rel_error':>14}{'speedup':>10}"
     print(header)
     for row in rows:
@@ -167,6 +168,7 @@ def _cmd_bench(args):
               f"{row['rel_error']:>14.3e}"
               f"{row['speedup_vs_qr']:>10.2f}")
     if args.csv:
+        write_csv(args.csv, rows, BENCH_COLUMNS)
         print(f"wrote {args.csv}")
     return 0
 

@@ -473,8 +473,6 @@ def condition_diagnostics(a):
     The singular values come from LAPACK (scipy.linalg.svdvals) on the
     binary64 copy of the input, whatever its dtype.  Wide inputs are
     transposed first, so a matrix and its transpose give the same values.
-    From m >= floor(11 n / 6) on, where gesdd itself bidiagonalizes the R
-    of a geqrf, they are those of the R of one in-place QR: the same bits.
 
     Raises
     ------
@@ -486,9 +484,6 @@ def condition_diagnostics(a):
     a = _as_matrix(a)
     if a.shape[0] < a.shape[1]:
         a = a.T
-    m, n = a.shape
-    if m >= 11 * n // 6:
-        a = _geqrf(a.astype(np.float64, copy=False))[1]
     try:
         sv = svdvals(a.astype(np.float64, copy=False), check_finite=False)
     except LinAlgError as exc:
@@ -504,12 +499,14 @@ def condition_diagnostics(a):
 class LinearSystem:
     """A checked least-squares system min norm(a x - b).
 
-    _check_system builds one per problem and checks a (made binary64), b
-    and x_star (None when no reference solution is known) there alone; the
-    functions that take a matrix or a LinearSystem check no further.  One
-    built directly vouches that its a is finite.  The products of a
-    that several solves and diagnostics read are formed once, on first use,
-    by the expression each reader used on its own, so with the same bits:
+    _check_system builds one per problem, with a made binary64, and checks
+    a, b and x_star (None when no reference solution is known) there alone;
+    the functions that take a matrix or a LinearSystem check no further.
+    One built directly vouches that its a is finite, in the dtype it has:
+    build_preconditioner wraps the demotion of a checked a (binary16, 32
+    or 64) in one, so the sketch does not check it again.  The products of
+    a that several solves and diagnostics read are formed once, on first
+    use, by the expression each reader used on its own, so with the same bits:
     gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
     reflectors), a_p(r_s) (a r_s^{-1}) and apta(a_p) (a_p^T a), each kept
     for its last argument, and norm_a (Frobenius).  cost(*names) is the

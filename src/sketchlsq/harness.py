@@ -19,7 +19,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class SweepConfig:
     transform: str = DCT2
     trials_per_point: int = 1
     seed: int = 0
-    output_path: str | None = None
 
     def __post_init__(self):
         self.rho_grid = np.asarray(self.rho_grid, dtype=np.float64)
@@ -147,7 +146,7 @@ def _sweep_point(config, grid_index, rho, trial):
     if any(METHODS[method].preconditioned for method in config.methods):
         try:
             level, _ = resolve_precision(system, config.precision)
-            pre, _, _ = prepare_preconditioner(
+            pre, _ = prepare_preconditioner(
                 system, config.d_factor, config.transform, level, sub_seed)
             level_name = pre.computed_in.name
         except (SketchLsqError, ValueError) as exc:
@@ -197,8 +196,6 @@ def run_sweep(config):
     for grid_index, rho in enumerate(config.rho_grid):
         for trial in range(config.trials_per_point):
             rows.extend(_sweep_point(config, grid_index, float(rho), trial))
-    if config.output_path is not None:
-        write_csv(config.output_path, rows, CSV_COLUMNS)
     return rows
 
 
@@ -212,7 +209,7 @@ def write_csv(path, rows, columns):
 
 
 def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
-                  trials=3, seed=0, output_path=None):
+                  trials=3, seed=0):
     """Median wall-clock comparison of qr, pne(double), and pne(auto).
 
     The pipeline runs with its default sketch (DCT-II, d = 3n).
@@ -254,6 +251,4 @@ def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
             })
         for row in rows[-3:]:
             row["speedup_vs_qr"] = medians["qr"] / medians[row["method"]]
-    if output_path is not None:
-        write_csv(output_path, rows, BENCH_COLUMNS)
     return rows

@@ -84,29 +84,21 @@ class PrecisionDecision:
     overflowed: bool
 
 
-@dataclass(frozen=True)
-class RoundedMatrix:
-    """Demotion result: data in the target dtype plus an overflow flag."""
-
-    data: np.ndarray
-    overflowed: bool
-
-
 def round_to_precision(a, level):
-    """Round every entry of a to the given precision.
+    """Round every entry of a to the given precision; returns the array.
 
-    Values exceeding the target's largest finite value become signed
-    infinity and set the overflowed flag; they are never silently clamped.
-    Rounding to binary64 is the identity on finite binary64 input, and
-    rounding is idempotent: re-rounding an already-rounded array returns
-    identical values.
+    A finite entry exceeding the target's largest finite value raises
+    Overflow; it is never silently clamped.  Rounding to binary64 is the
+    identity on finite binary64 input, and rounding is idempotent:
+    re-rounding an already-rounded array returns identical values.
     """
     a = np.asarray(a)
     with np.errstate(over="ignore"):
         data = a.astype(level.dtype)
     inf = np.isinf(data)
-    overflowed = bool(inf.any() and np.isfinite(a[inf]).any())
-    return RoundedMatrix(data=data, overflowed=overflowed)
+    if inf.any() and np.isfinite(a[inf]).any():
+        raise Overflow(f"input exceeds the {level.name} range")
+    return data
 
 
 def qr_in_precision(a, level):
@@ -131,10 +123,8 @@ def qr_in_precision(a, level):
     """
     a = _tall_matrix(a)
     if level.name != "binary16":
-        rounded = round_to_precision(a, level)
-        if rounded.overflowed:
-            raise Overflow(f"input exceeds the {level.name} range")
-        return qr_r_factor(rounded.data).astype(np.float64, copy=False)
+        return qr_r_factor(round_to_precision(a, level)).astype(
+            np.float64, copy=False)
     work = a.astype(np.float64)
     maxabs = float(np.abs(work).max())
     if maxabs == 0:
@@ -142,7 +132,7 @@ def qr_in_precision(a, level):
     scale = 2.0 ** -math.frexp(maxabs)[1]
     rounded = round_to_precision(work * scale, BINARY16)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        r16 = householder_reduce(rounded.data)
+        r16 = householder_reduce(rounded)
     if not np.isfinite(r16).all():
         raise Overflow("binary16 computation produced non-finite values")
     return r16.astype(np.float64) / scale
@@ -226,10 +216,9 @@ def resolve_precision(a, precision):
 
     a is a matrix or a dense.LinearSystem, as for decide_precision.
     precision is "auto" (decide_precision estimates kappa0 and decision is
-    its result), a precision name, or a PrecisionLevel (decision is None).
+    its result) or a precision name (decision is None); an unknown name
+    raises ValueError.
     """
-    if isinstance(precision, PrecisionLevel):
-        return precision, None
     if precision == "auto":
         decision = decide_precision(a)
         return decision.selected, decision

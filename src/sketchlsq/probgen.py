@@ -154,8 +154,11 @@ def load_problem(directory):
     a = read_matrix(os.path.join(directory, "A.mtx"))
     b = read_vector(os.path.join(directory, "b.mtx"))
     x_star = read_vector(os.path.join(directory, "xstar.mtx"))
-    if a.shape != (meta["m"], meta["n"]):
-        raise ValueError(
-            f"A.mtx shape {a.shape} disagrees with meta {meta['m']}x{meta['n']}")
+    m, n = meta["m"], meta["n"]
+    for name, data, shape in (("A", a, (m, n)), ("b", b, (m,)),
+                              ("xstar", x_star, (n,))):
+        if data.shape != shape:
+            raise ValueError(
+                f"{name}.mtx shape {data.shape} disagrees with meta {m}x{n}")
     return LeastSquaresProblem(a=a, b=b, x_star=x_star, rho=float(meta["rho"]),
                                kappa=float(meta["kappa"]), seed=int(meta["seed"]))

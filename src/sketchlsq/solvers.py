@@ -232,11 +232,9 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     if d < n:
         raise ValueError(f"d_factor {d_factor} gives d={d} < n={n}")
     rounded = round_to_precision(a, level)
-    if rounded.overflowed:
-        raise Overflow(f"input exceeds the {level.name} range")
     op = make_sketch(m, d, transform, seed)
-    # the demotion of a finite a is finite unless it overflowed
-    a_s = apply_sketch(op, LinearSystem(rounded.data))
+    # the demotion of a finite a is finite, or round_to_precision raised
+    a_s = apply_sketch(op, LinearSystem(rounded))
     if not np.isfinite(a_s).all():
         raise Overflow(f"sketch exceeds the {level.name} range")
     r_s = qr_in_precision(a_s, level)
@@ -258,18 +256,16 @@ def precondition_matrix(a, pre):
     return a.a_p(pre.r_s)
 
 
-def solve_pne(a, b, pre, x_star=None, a_p=None):
+def solve_pne(a, b, pre, x_star=None):
     """Preconditioned normal equations.
 
     Solves A_p^T A_p y = A_p^T b by Cholesky (falling back to LU when the
     preconditioned Gram matrix is not numerically definite), then recovers
-    x from R_s x = y.  A_p is the system's own; a_p is for callers that
-    pass a raw matrix and formed A_p themselves.
+    x from R_s x = y.  A_p is the system's own.
     """
     system = _check_system(a, b, x_star)
     t0 = time.perf_counter()
-    if a_p is None:
-        a_p = precondition_matrix(system, pre)
+    a_p = precondition_matrix(system, pre)
     with _silent_overflow():
         g = a_p.T @ a_p
         rhs = a_p.T @ system.b
@@ -284,17 +280,16 @@ def solve_pne(a, b, pre, x_star=None, a_p=None):
                    lu_fallback=lu_fallback)
 
 
-def solve_hpne(a, b, pre, x_star=None, a_p=None):
+def solve_hpne(a, b, pre, x_star=None):
     """Half-preconditioned normal equations.
 
     Solves the nonsymmetric n x n system A_p^T A x = A_p^T b by LU with
     partial pivoting; no triangular recovery step is needed since the
-    unknowns are already x.  a_p is as for solve_pne.
+    unknowns are already x.  A_p is the system's own.
     """
     system = _check_system(a, b, x_star)
     t0 = time.perf_counter() - system.cost("apta")
-    if a_p is None:
-        a_p = precondition_matrix(system, pre)
+    a_p = precondition_matrix(system, pre)
     with _silent_overflow():
         x = lu_solve(system.apta(a_p), a_p.T @ system.b)
     return _report("hpne", system, x, t0, preconditioner=pre)
@@ -308,21 +303,21 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
     ill-conditioned input) or an Overflow (demotion, sketch or factor
     leaving the working range, as a binary16 sketch of entries near 4e4
     does) triggers exactly one retry at the next wider precision; a second
-    failure propagates.
+    failure propagates.  A_p is formed here too: when a is a
+    dense.LinearSystem it is kept in a's record, so the solves and
+    diagnostics read it and a solve's wall_ms does not count it.
 
     Returns
     -------
-    (pre, a_p, escalated_from) : tuple
-        a_p is kept in a's record when a is a dense.LinearSystem, for the
-        solves and diagnostics to read; escalated_from is the precision
-        that failed, or None.
+    (pre, escalated_from) : tuple
+        escalated_from is the precision that failed, or None.
     """
     escalated_from = None
     while True:
         try:
             pre = build_preconditioner(a, d_factor, transform, level, seed)
-            a_p = precondition_matrix(a, pre)
-            return pre, a_p, escalated_from
+            precondition_matrix(a, pre)
+            return pre, escalated_from
         except (RankDeficient, Overflow):
             wider = next_higher(level)
             if escalated_from is not None or wider is None:
@@ -344,7 +339,7 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
     Parameters
     ----------
     method : a preconditioned method of METHODS ("pne" or "hpne")
-    precision : "auto", a precision name, or a PrecisionLevel
+    precision : "auto" or a precision name
 
     Returns
     -------
@@ -358,7 +353,7 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
         raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
     level, decision = resolve_precision(system, precision)
-    pre, _, escalated_from = prepare_preconditioner(
+    pre, escalated_from = prepare_preconditioner(
         system, d_factor, transform, level, seed)
     report = spec.solve(system, pre)
     report.precision_decision = decision

@@ -246,7 +246,7 @@ def test_criterion_10_not_normal_reductions():
         p = sq.generate_problem(400, 24, kappa, 1e-4, seed=mix64(461, seed))
         pre = sq.build_preconditioner(p.a, seed=mix64(462, seed))
         a_p = sq.precondition_matrix(p.a, pre)
-        x_h = sq.solve_hpne(p.a, p.b, pre, a_p=a_p).x_hat
+        x_h = sq.solve_hpne(p.a, p.b, pre).x_hat
         x_bh = sq.solve_notnormal(p.a, a_p, p.b).x_hat
         worst_hpne = max(worst_hpne,
                          np.linalg.norm(x_bh - x_h) / np.linalg.norm(x_h))

@@ -53,14 +53,14 @@ def test_eta1_pole():
 def test_bound_ls_oracles():
     inputs = BoundInputs(kappa_a=1e4, eps_a=U52, res_ratio_a=0.0)
     assert bound_ls(inputs) == 2.220446049250313e-12
-    assert bound_ls(inputs.updated(res_ratio_a=1e-2)) == 2.2426505097428162e-10
+    assert bound_ls(replace(inputs, res_ratio_a=1e-2)) == 2.2426505097428162e-10
 
 
 def test_bound_ne_oracles():
     inputs = BoundInputs(kappa_a=1e4, eps_a=U52, res_ratio_a=1e-2)
     assert bound_ne_family(inputs) == 2.242650509742817e-08
     # kappa^2 * eps reaches order one at kappa = 1e8 even with zero residual
-    grown = inputs.updated(kappa_a=1e8, res_ratio_a=0.0)
+    grown = replace(inputs, kappa_a=1e8, res_ratio_a=0.0)
     assert bound_ne_family(grown) == 2.2204460492503135
 
 
@@ -101,9 +101,9 @@ def test_old_bound_blows_up_in_low_precision():
 
 def test_bounds_monotone_in_residual_and_condition():
     base = BoundInputs(kappa_a=1e4, eps_a=U52, res_ratio_a=1e-8)
-    assert bound_ne_family(base.updated(res_ratio_a=1e-2)) > bound_ne_family(base)
-    assert bound_ne_family(base.updated(kappa_a=1e6)) > bound_ne_family(base)
-    assert bound_ls(base.updated(res_ratio_a=1e-2)) > bound_ls(base)
+    assert bound_ne_family(replace(base, res_ratio_a=1e-2)) > bound_ne_family(base)
+    assert bound_ne_family(replace(base, kappa_a=1e6)) > bound_ne_family(base)
+    assert bound_ls(replace(base, res_ratio_a=1e-2)) > bound_ls(base)
 
 
 def test_missing_field_raised_per_bound():
@@ -121,10 +121,9 @@ def test_measured_inputs_satisfy_norm_identities():
     for seed in range(5):
         p = generate_problem(400, 30, 1e4, 1e-4, seed=seed)
         pre = build_preconditioner(p.a, seed=seed)
-        a_p = precondition_matrix(p.a, pre)
         diag = measure_problem(p, pre=pre)
-        for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p),
-                       solve_hpne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)):
+        for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star),
+                       solve_hpne(p.a, p.b, pre, x_star=p.x_star)):
             inputs = measure_bound_inputs(p, report, diagnostics=diag)
             if report.method == "pne":
                 assert inputs.nu_pne <= 1.0 + 1e-12
@@ -182,8 +181,7 @@ def test_measured_u1_follows_preconditioner_precision():
 
     p = generate_problem(300, 20, 1e2, 1e-6, seed=2)
     pre = build_preconditioner(p.a, level=BINARY32, seed=2)
-    a_p = precondition_matrix(p.a, pre)
-    report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
+    report = solve_pne(p.a, p.b, pre, x_star=p.x_star)
     inputs = measure_bound_inputs(p, report)
     assert inputs.u1 == U23
     assert inputs.u2 == U52
@@ -193,8 +191,7 @@ def test_measured_error_below_new_bound():
     for seed in range(5):
         p = generate_problem(500, 32, 1e4, 1e-6, seed=seed)
         pre = build_preconditioner(p.a, seed=seed)
-        a_p = precondition_matrix(p.a, pre)
-        report = solve_pne(p.a, p.b, pre, x_star=p.x_star, a_p=a_p)
+        report = solve_pne(p.a, p.b, pre, x_star=p.x_star)
         inputs = measure_bound_inputs(p, report)
         assert report.relative_error <= bound_pne(inputs, variant="new")
 

@@ -178,6 +178,12 @@ def test_invalid_arguments_exit_two(tmp_path):
         assert main(["sweep", "--m", "150", "--n", "10", "--rho-points", "1",
                      "--d-factor", d_factor,
                      "--csv", str(tmp_path / "s.csv")]) == 2
+    # an archive whose b or x_star is one entry short of meta.json's m, n
+    problem = load_problem(path)
+    for name, vector in (("b", problem.b), ("xstar", problem.x_star)):
+        short = _gen(tmp_path, name=f"short_{name}")
+        write_matrix(short / f"{name}.mtx", vector[:-1])
+        assert main(["solve", "--problem", str(short)]) == 2
 
 
 def test_non_finite_b_exits_two(tmp_path, capsys):

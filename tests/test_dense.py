@@ -26,6 +26,7 @@ from sketchlsq import (
 )
 from sketchlsq.dense import (
     _ROUND_HALF_MIN_SIZE,
+    LinearSystem,
     _round_half,
     cholesky_factor,
     cholesky_solve,
@@ -195,15 +196,17 @@ def test_condition_diagnostics_singular_matrix():
 
 
 def test_condition_diagnostics_are_lapack_svdvals_bit_for_bit():
-    """From m >= floor(11 n / 6) on, the singular values come from the R of
-    one QR, as inside LAPACK gesdd: the same bits as svdvals, above and
-    below that bound, for a wide input (transposed first) and for a
-    singular one."""
+    """The same bits as svdvals, for a wide input (transposed first) and
+    for a singular one.  A LinearSystem's diagnostics, which from
+    m >= floor(11 n / 6) on read the R of its one QR, as LAPACK gesdd
+    itself does, give those bits too, above and below that bound."""
     gen = stream(45, 3)
     for shape in ((2000, 32), (90, 50), (32, 2000)):
         a = gen.standard_normal(shape)
         tall = a.T if shape[0] < shape[1] else a
         assert np.array_equal(condition_diagnostics(a).singular_values,
+                              svdvals(tall))
+        assert np.array_equal(LinearSystem(tall).diagnostics().singular_values,
                               svdvals(tall))
     singular = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(condition_diagnostics(singular).singular_values,
@@ -211,11 +214,11 @@ def test_condition_diagnostics_are_lapack_svdvals_bit_for_bit():
     # 600 x 160 takes LAPACK's blocked paths, whose bits depend on the
     # BLAS thread count, so it runs in a child on one thread
     code = ("import numpy as np; from scipy.linalg import svdvals; "
-            "from sketchlsq.dense import condition_diagnostics; "
+            "from sketchlsq.dense import LinearSystem; "
             "from sketchlsq.rng import stream; "
             "a = stream(46, 3).standard_normal((600, 160)); "
-            "print(np.array_equal(condition_diagnostics(a).singular_values, "
-            "svdvals(a)))")
+            "print(np.array_equal(LinearSystem(a).diagnostics()"
+            ".singular_values, svdvals(a)))")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",

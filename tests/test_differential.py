@@ -41,13 +41,14 @@ def test_methods_agree_with_lapack_lstsq(kappa, rho):
         p = sq.generate_problem(1000, 30, kappa, rho, seed)
         x_ref = np.linalg.lstsq(p.a, p.b, rcond=None)[0]
         level = sq.decide_precision(p.a).selected
-        pre, a_p, _ = prepare_preconditioner(p.a, level=level, seed=seed)
+        pre, _ = prepare_preconditioner(p.a, level=level, seed=seed)
+        a_p = sq.precondition_matrix(p.a, pre)
         got = {
             "qr": sq.solve_qr_baseline(p.a, p.b),
             "ne": sq.solve_normal(p.a, p.b),
             "sne": sq.solve_seminormal(p.a, p.b),
-            "pne": sq.solve_pne(p.a, p.b, pre, a_p=a_p),
-            "hpne": sq.solve_hpne(p.a, p.b, pre, a_p=a_p),
+            "pne": sq.solve_pne(p.a, p.b, pre),
+            "hpne": sq.solve_hpne(p.a, p.b, pre),
             "nne": sq.solve_notnormal(p.a, a_p, p.b),
         }
         envelopes = _envelopes(p.a, p.b, x_ref)

@@ -277,10 +277,9 @@ def test_write_csv_roundtrips_schema(tmp_path):
         assert int(text_row["seed"]) == row["seed"]
 
 
-def test_benchmark_schema_and_positivity(tmp_path):
-    path = tmp_path / "bench.csv"
+def test_benchmark_schema_and_positivity():
     rows = run_benchmark(m=160, n_list=(8, 12), kappa=1e3, rho=1e-6,
-                         trials=2, seed=3, output_path=path)
+                         trials=2, seed=3)
     assert len(rows) == 2 * 3
     for row in rows:
         assert list(row.keys()) == BENCH_COLUMNS
@@ -290,4 +289,3 @@ def test_benchmark_schema_and_positivity(tmp_path):
         assert row["trials"] == 2
     methods = {row["method"] for row in rows}
     assert methods == {"qr", "pne_double", "pne_auto"}
-    assert path.exists()

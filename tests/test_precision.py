@@ -11,6 +11,7 @@ from sketchlsq import (
     BINARY16,
     BINARY32,
     BINARY64,
+    Overflow,
     RankDeficient,
     apply_sketch,
     decide_precision,
@@ -49,24 +50,23 @@ def test_level_constants():
 
 def test_round_to_precision_oracle():
     out = round_to_precision(np.array([0.1]), BINARY16)
-    assert not out.overflowed
-    assert float(out.data[0]) == 0.0999755859375
-    assert out.data.dtype == np.float16
+    assert float(out[0]) == 0.0999755859375
+    assert out.dtype == np.float16
 
 
 def test_round_to_precision_identity_and_idempotence():
     x = stream(3, 3).standard_normal(50)
-    assert np.array_equal(round_to_precision(x, BINARY64).data, x)
-    once = round_to_precision(x, BINARY16).data
-    assert np.array_equal(round_to_precision(once, BINARY16).data, once)
+    assert np.array_equal(round_to_precision(x, BINARY64), x)
+    once = round_to_precision(x, BINARY16)
+    assert np.array_equal(round_to_precision(once, BINARY16), once)
 
 
 def test_round_to_precision_overflow_flag():
-    out = round_to_precision(np.array([70000.0, -1e40]), BINARY16)
-    assert out.overflowed
-    assert np.isinf(out.data).all()
-    assert not round_to_precision(np.array([65504.0]), BINARY16).overflowed
-    assert round_to_precision(np.array([1e39]), BINARY32).overflowed
+    with pytest.raises(Overflow, match="binary16 range"):
+        round_to_precision(np.array([70000.0, -1e40]), BINARY16)
+    assert round_to_precision(np.array([65504.0]), BINARY16)[0] == 65504.0
+    with pytest.raises(Overflow, match="binary32 range"):
+        round_to_precision(np.array([1e39]), BINARY32)
 
 
 def test_pairwise_sum_matches_exact():
@@ -218,7 +218,7 @@ def test_qr_in_precision_half_matches_pinned_factors():
 def _half_sketch(m, n, kappa, seed, transform="dct2"):
     p = generate_problem(m, n, kappa, 1e-6, seed)
     op = make_sketch(m, 3 * n, transform, seed)
-    return apply_sketch(op, round_to_precision(p.a, BINARY16).data)
+    return apply_sketch(op, round_to_precision(p.a, BINARY16))
 
 
 def test_qr_in_precision_raises_rank_deficient():

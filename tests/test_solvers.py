@@ -42,13 +42,12 @@ def test_all_methods_agree_on_well_conditioned_input():
     p = generate_problem(300, 20, 10.0, 1e-4, seed=5)
     x_qr = solve_qr_baseline(p.a, p.b).x_hat
     pre = build_preconditioner(p.a, seed=5)
-    a_p = precondition_matrix(p.a, pre)
     for x in (
         solve_normal(p.a, p.b).x_hat,
         solve_seminormal(p.a, p.b).x_hat,
         solve_notnormal(p.a, p.a, p.b).x_hat,
-        solve_pne(p.a, p.b, pre, a_p=a_p).x_hat,
-        solve_hpne(p.a, p.b, pre, a_p=a_p).x_hat,
+        solve_pne(p.a, p.b, pre).x_hat,
+        solve_hpne(p.a, p.b, pre).x_hat,
     ):
         assert np.linalg.norm(x - x_qr) <= 1e-10 * np.linalg.norm(x_qr)
 
@@ -67,7 +66,7 @@ def test_identity_preconditioner_reduces_pne_to_ne():
     pre = Preconditioner(r_s=np.eye(p.n), computed_in=BINARY64)
     a_p = precondition_matrix(p.a, pre)
     assert np.array_equal(a_p, p.a)
-    x_pne = solve_pne(p.a, p.b, pre, a_p=a_p).x_hat
+    x_pne = solve_pne(p.a, p.b, pre).x_hat
     x_ne = solve_normal(p.a, p.b).x_hat
     assert np.array_equal(x_pne, x_ne)
 
@@ -77,7 +76,7 @@ def test_notnormal_reduces_to_hpne_and_ne():
         p = generate_problem(300, 20, 1e2, 1e-4, seed=seed)
         pre = build_preconditioner(p.a, seed=seed)
         a_p = precondition_matrix(p.a, pre)
-        x_h = solve_hpne(p.a, p.b, pre, a_p=a_p).x_hat
+        x_h = solve_hpne(p.a, p.b, pre).x_hat
         x_bh = solve_notnormal(p.a, a_p, p.b).x_hat
         assert np.linalg.norm(x_bh - x_h) <= 1e-13 * np.linalg.norm(x_h)
         x_n = solve_normal(p.a, p.b).x_hat
@@ -166,8 +165,9 @@ def test_pipeline_rejects_unknown_method():
     p = generate_problem(100, 8, 10.0, 0.0, seed=0)
     with pytest.raises(ValueError):
         algorithm1_pipeline(p.a, p.b, method="cgls")
-    with pytest.raises(ValueError):
-        algorithm1_pipeline(p.a, p.b, precision="quad")
+    for precision in ("quad", BINARY32):
+        with pytest.raises(ValueError):
+            algorithm1_pipeline(p.a, p.b, precision=precision)
 
 
 def test_report_norms_are_consistent():
@@ -413,12 +413,14 @@ def test_shared_a_p_is_kept_per_factor():
     again for the same factor and formed again for another."""
     p = generate_problem(400, 16, 1e4, 1e-6, seed=2)
     system = dense._check_system(p.a, p.b, p.x_star)
-    pre, a_p, _ = prepare_preconditioner(system, seed=2)
+    pre, _ = prepare_preconditioner(system, seed=2)
+    assert system.cost("a_p") > 0
+    a_p = system.a_p(pre.r_s)
     assert np.array_equal(a_p, np.ascontiguousarray(dense.triangular_solve(
         pre.r_s, p.a.T, transposed=True).T))
     assert a_p is system.a_p(pre.r_s) is precondition_matrix(system, pre)
     assert solve_pne(system, system.b, pre, system.x_star).x_hat.tobytes() \
-        == solve_pne(p.a, p.b, pre, p.x_star, a_p=a_p).x_hat.tobytes()
+        == solve_pne(p.a, p.b, pre, p.x_star).x_hat.tobytes()
     other = build_preconditioner(p.a, seed=3)
     assert np.array_equal(system.a_p(other.r_s),
                           precondition_matrix(p.a, other))
