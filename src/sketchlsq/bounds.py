@@ -21,7 +21,8 @@ backward-perturbation sizes on A and B; when measuring (rather than
 proving) eps_a is set to the working roundoff u2.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -166,7 +167,9 @@ class ProblemDiagnostics:
     measurements in the sweep harness.  norm_ap and kappa_ap are those of
     R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular values; a_p
     is the system's A_p itself, from which measure_bound_inputs forms the
-    preconditioned residual.
+    preconditioned residual.  norm_apta and kappa_apta, which hpne's bound
+    alone reads, are measured on first use from the system's shared
+    A_p^T A, so a diagnosis that never reads them never forms it.
     """
 
     norm_a: float
@@ -175,9 +178,22 @@ class ProblemDiagnostics:
     kappa_rs: float | None = None
     norm_ap: float | None = None
     kappa_ap: float | None = None
-    norm_apta: float | None = None
-    kappa_apta: float | None = None
     a_p: np.ndarray | None = None
+    system: LinearSystem | None = field(default=None, repr=False)
+
+    @cached_property
+    def _apta(self):
+        if self.a_p is None:
+            return None
+        return condition_diagnostics(self.system.apta(self.a_p))
+
+    @property
+    def norm_apta(self):
+        return None if self._apta is None else self._apta.two_norm
+
+    @property
+    def kappa_apta(self):
+        return None if self._apta is None else self._apta.two_norm_condition
 
 
 def measure_problem(problem, pre=None):
@@ -187,7 +203,7 @@ def measure_problem(problem, pre=None):
     whose shared R of A, A_p and A_p^T A are read, not formed again.
     kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
     one triangular solve with the shared R_A whatever the shape, not of the
-    m x n A_p.
+    m x n A_p.  kappa(A_p^T A) waits for its first reader.
     """
     system = problem
     if not isinstance(problem, LinearSystem):
@@ -200,7 +216,6 @@ def measure_problem(problem, pre=None):
     diag_rs = condition_diagnostics(pre.r_s)
     diag_ap = condition_diagnostics(
         triangular_solve(pre.r_s, system.r.T, transposed=True).T)
-    diag_apta = condition_diagnostics(system.apta(a_p))
     return ProblemDiagnostics(
         norm_a=diag_a.two_norm,
         kappa_a=diag_a.two_norm_condition,
@@ -208,9 +223,8 @@ def measure_problem(problem, pre=None):
         kappa_rs=diag_rs.two_norm_condition,
         norm_ap=diag_ap.two_norm,
         kappa_ap=diag_ap.two_norm_condition,
-        norm_apta=diag_apta.two_norm,
-        kappa_apta=diag_apta.two_norm_condition,
         a_p=a_p,
+        system=system,
     )
 
 
@@ -223,8 +237,9 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap, its
         residual norm and its preconditioner; with a preconditioner, the
-        preconditioned quantities (kappa_rs, kappa_ap, kappa_apta, nu_pne,
-        nu_hpne, res_ratio_ap) are measured too.
+        preconditioned quantities (kappa_rs, kappa_ap, nu_pne,
+        res_ratio_ap) are measured too, and for an hpne report, whose
+        bound alone reads them, kappa_apta and nu_hpne.
     diagnostics : ProblemDiagnostics or None
         measure_problem's record for (problem, that preconditioner).
 
@@ -255,13 +270,18 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     y = pre.r_s @ x_hat
     norm_y = float(linalg.norm(y))
     r_p = diagnostics.a_p @ y - problem.b
-    return replace(
+    inputs = replace(
         inputs,
         kappa_rs=diagnostics.kappa_rs,
         kappa_ap=diagnostics.kappa_ap,
-        kappa_apta=diagnostics.kappa_apta,
         nu_pne=norm_y / (diagnostics.norm_rs * norm_x),
+        res_ratio_ap=float(linalg.norm(r_p)) / (diagnostics.norm_ap * norm_y),
+    )
+    if report.method != "hpne":
+        return inputs
+    return replace(
+        inputs,
+        kappa_apta=diagnostics.kappa_apta,
         nu_hpne=(diagnostics.norm_ap * diagnostics.norm_a
                  / diagnostics.norm_apta),
-        res_ratio_ap=float(linalg.norm(r_p)) / (diagnostics.norm_ap * norm_y),
     )

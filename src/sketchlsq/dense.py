@@ -10,11 +10,16 @@ the triangle of the n x n top alone.  LinearSystem is the checked system
 of one problem, whose products of A (its QR among them) the solves and
 diagnostics of that problem form once and share.
 Two hand-written kernels remain.  householder_reduce is the one binary16
-kernel: it carries binary16 values in float32 and rounds the result of
-every scalar operation to binary16 (_round_half: float32 arithmetic on
-the magnitude, bit operations on the sign), as LAPACK cannot, and
-returns R alone.  jacobi_singular_values, a one-sided Jacobi kernel, is
-kept as an independent reference for the tests.
+kernel: it rounds the result of every scalar operation to binary16, as
+LAPACK cannot, and returns R alone.  Large arrays carry binary16 values
+in float32 and round them by _round_half (float32 arithmetic on the
+magnitude, bit operations on the sign); small ones compute in numpy
+float16, whose every operation rounds once.  Each column builds one
+pairwise tree of binary16 adds (_pairwise_tree), which gives both the
+column norm and the reflector's inner products.  Its time is the cost of
+emulating binary16 on a CPU, not a speedup.  jacobi_singular_values, a
+one-sided Jacobi kernel, is kept as an independent reference for the
+tests.
 """
 
 import math
@@ -129,28 +134,60 @@ def _unrounded(x, spare=None):
     return x
 
 
-def _pairwise_sum(x, rounding=_unrounded):
-    # Deterministic binary tree over axis 0, one add per element per level,
-    # each level rounded in place: with _round_half a float32 carry of
-    # binary16 values adds in binary16 throughout.
+# Tree levels and blocks below this many elements compute in numpy float16,
+# whose every operation rounds once from float32 to binary16; larger ones
+# in float32, rounded by _round_half, whose fixed cost is about a dozen
+# ufunc calls.
+_FLOAT16_MAX_SIZE = 1024
+
+
+def _pairwise_tree(x):
+    """Pairwise binary16 sums over axis 0 of x, and the path to node 0.
+
+    x holds binary16 values, in float32 or float16.  Each level adds rows
+    (0, 1), (2, 3), ... in binary16, an odd last row passing up as if
+    added to -0 (x + -0 = x).  Returns (root, siblings): root the sums,
+    siblings row 1 of each level, leaves first.  The tree over other
+    leaves that differ only in row 0 has the same siblings, so adding
+    them in order to its row 0 gives its root.  Large levels add in
+    float32 and round by _round_half; from the first small one on, the
+    levels add in float16, -0 padding the rows to a power of two.
+    """
+    siblings = []
     while x.shape[0] > 1:
-        half = x.shape[0] // 2
-        y = rounding(x[0:2 * half:2] + x[1:2 * half:2])
-        if x.shape[0] % 2:
-            y = np.concatenate([y, x[2 * half:]], axis=0)
+        siblings.append(x[1])
+        half, odd = divmod(x.shape[0], 2)
+        large = x.dtype == np.float32 and half * x.shape[1] >= _FLOAT16_MAX_SIZE
+        if large:
+            y = np.empty((half + odd, x.shape[1]), np.float32)
+            _round_half(np.add(x[0:-1:2], x[1::2], out=y[:half]))
+        else:
+            y = np.full((1 << (half + odd - 1).bit_length(), x.shape[1]),
+                        -0.0, np.float16)
+            np.add(x[0:-1:2], x[1::2], out=y[:half])
+        if odd:
+            y[half] = x[-1]
         x = y
-    return x[0]
+        if not large:
+            while x.shape[0] > 1:
+                siblings.append(x[1])
+                x = x[0::2] + x[1::2]
+    return x[0], siblings
 
 
 def householder_reduce(a):
     """Triangular factor of a by Householder reflections in binary16.
 
-    The emulated binary16 kernel: values are carried in float32 and every
-    scalar operation's result is rounded to binary16 (_round_half), which
-    gives the bits of the binary16 operation, and every inner product is a
-    pairwise tree of binary16 adds, which LAPACK cannot do: the column
-    norm's in numpy float16, the reflector's by _pairwise_sum.  Q is never
-    formed.
+    The emulated binary16 kernel: every scalar operation's result is
+    rounded to binary16, which LAPACK cannot do, and every inner product
+    is a pairwise tree of binary16 adds (_pairwise_tree).  The trailing
+    block is carried in C order, in float32 rounded by _round_half while
+    it is large and in numpy float16 once it is small; each reflection
+    replaces it, and its row 0 goes to R.  One tree per column gives the
+    norm and the reflector's products: the tree of x * [x, W] has x.x as
+    its first sum, and the reflector v differs from the column x only in
+    row 0, so v^T [v, W] is the same tree with the path from leaf 0
+    redone against the kept siblings.  Q is never formed.
 
     Parameters
     ----------
@@ -159,7 +196,7 @@ def householder_reduce(a):
 
     Returns
     -------
-    r : ndarray, shape (n, n), float16
+    r : ndarray, shape (n, n), float16, Fortran order
         Upper-triangular factor; subdiagonal entries are exact zeros.
 
     Notes
@@ -170,40 +207,40 @@ def householder_reduce(a):
     underflows to zero in the working precision) raises RankDeficient.
     """
     m, n = a.shape
-    w = np.asarray(a, dtype=np.float16).astype(np.float32, order="F")
+    r = np.zeros((n, n), np.float16, order="F")
+    block = np.asarray(a, dtype=np.float16).astype(np.float32)
     for j in range(n):
-        col = w[j:, j:j + 1]
-        # numpy float16 ops round once from float32; the cast rounds each
-        # square.  -0 pads to a power of two: x + -0 = x keeps the pairs of
-        # _pairwise_sum, its carried odd element included.
-        squares = np.full((1 << (m - j - 1).bit_length(), 1), -0.0, np.float16)
-        np.multiply(col, col, out=squares[:m - j])
-        while squares.shape[0] > 1:
-            squares = squares[0::2] + squares[1::2]
-        norm = np.sqrt(squares[0])
+        if block.dtype == np.float32 and block.size < _FLOAT16_MAX_SIZE:
+            block = block.astype(np.float16)
+        rounding = _round_half if block.dtype == np.float32 else _unrounded
+        x = block[:, :1]
+        root, siblings = _pairwise_tree(rounding(x * block))
+        norm = np.sqrt(root[:1].astype(np.float16))
         if norm == 0:
             raise RankDeficient(f"pivot column {j} is zero at working precision")
-        alpha = -norm if w[j, j] >= 0 else norm
-        _round_half(np.subtract(w[j, j], alpha, out=w[j, j:j + 1]))
-        # v.v and v^T W in one tree: the trees are per column
-        sums = _pairwise_sum(_round_half(col * w[j:, j:]), _round_half)
+        alpha = -norm if x[0, 0] >= 0 else norm
+        # row 0 of the block in float16, its leading entry made v's
+        head = block[0].astype(np.float16)
+        head[:1] -= alpha
+        sums = head[:1] * head
+        for sibling in siblings:
+            np.add(sums, sibling, out=sums)
         vtv = sums[:1]
         if vtv == 0:
             raise RankDeficient(f"reflector {j} vanished at working precision")
-        tau = _round_half(np.float32(2) / vtv)
+        tau = np.float16(2) / vtv
         # vtv can underflow so far that 2/vtv leaves the working range;
         # that is a rank collapse at this precision, not a true overflow
         if not np.isfinite(tau):
             raise RankDeficient(
                 f"reflector {j} norm underflowed at working precision")
         if j + 1 < n:
-            t = _round_half(tau * sums[1:])
-            trailing = w[j:, j + 1:]
-            trailing -= _round_half(col * t[None, :])
-            _round_half(trailing)
-        w[j, j] = alpha[0]
-        w[j + 1:, j] = 0
-    return w[:n].astype(np.float16, order="F")
+            t = tau * sums[1:]
+            r[j, j + 1:] = head[1:] - head[:1] * t
+            update = rounding(x[1:] * t.astype(block.dtype))
+            block = rounding(np.subtract(block[1:, 1:], update, out=update))
+        r[j, j] = alpha[0]
+    return r
 
 
 def _tall_matrix(a):

@@ -1,15 +1,18 @@
 """Floating-point precision emulation and automatic selection.
 
-binary32 and binary64 run natively (LAPACK).  binary16 is emulated: its
-values are carried in float32, and the result of every scalar operation
-is rounded to the nearest binary16 value (ties to even) by
-dense._round_half: float32 arithmetic on the magnitude, bit operations on
-the sign.  float32 has enough bits (24 >= 2 * 11 + 2) that this gives the
-bits of the binary16 operation for + - * / and sqrt, as numpy's float16
-ops do (one rounding from float32).  Inner products are explicit pairwise
-trees of binary16 adds, not numpy's reductions.  The one hand-written
-binary16 kernel is dense.householder_reduce, behind qr_in_precision, the
-one low-precision factorization, which returns R alone.
+binary32 and binary64 run natively (LAPACK).  binary16 is emulated: the
+result of every scalar operation is rounded to the nearest binary16 value
+(ties to even).  Large arrays carry binary16 values in float32 and round
+by dense._round_half (float32 arithmetic on the magnitude, bit operations
+on the sign); small ones compute in numpy float16, whose ops round once
+from float32.  float32 has enough bits (24 >= 2 * 11 + 2) that both give
+the bits of the binary16 operation for + - * / and sqrt.  Inner products
+are explicit pairwise trees of binary16 adds, not numpy's reductions.
+The one hand-written binary16 kernel is dense.householder_reduce, behind
+qr_in_precision, the one low-precision factorization, which returns R
+alone; it builds one tree per column for the column norm and the
+reflector's products together.  Its time is emulation cost: binary16 has
+no hardware path here, so it is never reported as a speedup.
 
 Two unit-roundoff constants live on each level: `unit_roundoff` is the true
 round-to-nearest half-ulp (2^-11, 2^-24, 2^-53) describing storage, while
@@ -88,11 +91,15 @@ def round_to_precision(a, level):
     """Round every entry of a to the given precision; returns the array.
 
     A finite entry exceeding the target's largest finite value raises
-    Overflow; it is never silently clamped.  Rounding to binary64 is the
-    identity on finite binary64 input, and rounding is idempotent:
-    re-rounding an already-rounded array returns identical values.
+    Overflow; it is never silently clamped.  An array already in the
+    level's dtype is returned itself, not a copy (binary64 input at
+    binary64, the binary32 sketch at binary32), so callers must not write
+    into the result.  Rounding is idempotent: re-rounding an
+    already-rounded array returns identical values.
     """
     a = np.asarray(a)
+    if a.dtype == level.dtype:
+        return a
     with np.errstate(over="ignore"):
         data = a.astype(level.dtype)
     inf = np.isinf(data)

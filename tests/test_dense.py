@@ -1,6 +1,7 @@
 """Tests for the dense factorization and estimation kernels."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,16 +12,21 @@ import pytest
 from scipy.linalg import LinAlgError, svdvals
 
 from sketchlsq import (
+    BINARY16,
     DimensionMismatch,
     NoConvergence,
     NotPositiveDefinite,
     NumericallySingular,
     RankDeficient,
     SingularTriangular,
+    apply_sketch,
     condition_diagnostics,
     estimate_log10_condition,
+    generate_problem,
     householder_qr,
     lu_solve,
+    make_sketch,
+    round_to_precision,
     triangular_solve,
     triangular_with_condition,
 )
@@ -28,8 +34,10 @@ from sketchlsq.dense import (
     _ROUND_HALF_MIN_SIZE,
     LinearSystem,
     _round_half,
+    _unrounded,
     cholesky_factor,
     cholesky_solve,
+    householder_reduce,
     jacobi_singular_values,
     qr_r_factor,
 )
@@ -461,3 +469,164 @@ def test_round_half_trick_breaks_ties_as_the_float16_cast():
             assert np.array_equal(np.isnan(got), nan)
             assert np.array_equal(got.view(np.uint32)[~nan],
                                   want.view(np.uint32)[~nan])
+
+
+# The binary16 kernel as it was before it built one tree per column, kept
+# as the reference that householder_reduce must match bit for bit.
+def _reference_pairwise_sum(x, rounding=_unrounded):
+    # Deterministic binary tree over axis 0, one add per element per level,
+    # each level rounded in place: with _round_half a float32 carry of
+    # binary16 values adds in binary16 throughout.
+    while x.shape[0] > 1:
+        half = x.shape[0] // 2
+        y = rounding(x[0:2 * half:2] + x[1:2 * half:2])
+        if x.shape[0] % 2:
+            y = np.concatenate([y, x[2 * half:]], axis=0)
+        x = y
+    return x[0]
+
+
+def _reference_householder_reduce(a):
+    """Triangular factor of a by Householder reflections in binary16.
+
+    The emulated binary16 kernel: values are carried in float32 and every
+    scalar operation's result is rounded to binary16 (_round_half), which
+    gives the bits of the binary16 operation, and every inner product is a
+    pairwise tree of binary16 adds, which LAPACK cannot do: the column
+    norm's in numpy float16, the reflector's by _reference_pairwise_sum.  Q is never
+    formed.
+
+    Parameters
+    ----------
+    a : ndarray, shape (m, n) with m >= n
+        Converted to float16 first.
+
+    Returns
+    -------
+    r : ndarray, shape (n, n), float16
+        Upper-triangular factor; subdiagonal entries are exact zeros.
+
+    Notes
+    -----
+    The pivot sign convention is alpha = -sign(x_0) * norm(x) with
+    sign(0) = +1, so the leading reflector entry x_0 - alpha never
+    cancels.  A pivot column that is exactly zero (or whose squared norm
+    underflows to zero in the working precision) raises RankDeficient.
+    """
+    m, n = a.shape
+    w = np.asarray(a, dtype=np.float16).astype(np.float32, order="F")
+    for j in range(n):
+        col = w[j:, j:j + 1]
+        # numpy float16 ops round once from float32; the cast rounds each
+        # square.  -0 pads to a power of two: x + -0 = x keeps the pairs of
+        # _reference_pairwise_sum, its carried odd element included.
+        squares = np.full((1 << (m - j - 1).bit_length(), 1), -0.0, np.float16)
+        np.multiply(col, col, out=squares[:m - j])
+        while squares.shape[0] > 1:
+            squares = squares[0::2] + squares[1::2]
+        norm = np.sqrt(squares[0])
+        if norm == 0:
+            raise RankDeficient(f"pivot column {j} is zero at working precision")
+        alpha = -norm if w[j, j] >= 0 else norm
+        _round_half(np.subtract(w[j, j], alpha, out=w[j, j:j + 1]))
+        # v.v and v^T W in one tree: the trees are per column
+        sums = _reference_pairwise_sum(_round_half(col * w[j:, j:]), _round_half)
+        vtv = sums[:1]
+        if vtv == 0:
+            raise RankDeficient(f"reflector {j} vanished at working precision")
+        tau = _round_half(np.float32(2) / vtv)
+        # vtv can underflow so far that 2/vtv leaves the working range;
+        # that is a rank collapse at this precision, not a true overflow
+        if not np.isfinite(tau):
+            raise RankDeficient(
+                f"reflector {j} norm underflowed at working precision")
+        if j + 1 < n:
+            t = _round_half(tau * sums[1:])
+            trailing = w[j:, j + 1:]
+            trailing -= _round_half(col * t[None, :])
+            _round_half(trailing)
+        w[j, j] = alpha[0]
+        w[j + 1:, j] = 0
+    return w[:n].astype(np.float16, order="F")
+
+
+def _reduce_outcome(kernel, a):
+    # R's bytes, dtype, layout and shape, or the RankDeficient text
+    try:
+        with np.errstate(all="ignore"):
+            r = kernel(a)
+    except RankDeficient as exc:
+        return str(exc)
+    return r.tobytes(), r.dtype, r.flags.f_contiguous, r.shape
+
+
+def _prescaled_half_sketch(m, n, kappa, seed, transform):
+    # the binary16 input qr_in_precision gives the kernel for a sketch
+    p = generate_problem(m, n, kappa, 1e-6, seed)
+    op = make_sketch(m, 3 * n, transform, seed)
+    sketch = apply_sketch(op, round_to_precision(p.a, BINARY16))
+    work = sketch.astype(np.float64)
+    scale = 2.0 ** -math.frexp(float(np.abs(work).max()))[1]
+    return round_to_precision(work * scale, BINARY16)
+
+
+def _kernel_edge_inputs():
+    gen = stream(31, 3)
+    for m, n in ((37, 9), (38, 9), (64, 9), (65, 9), (255, 10), (256, 10),
+                 (257, 10), (300, 40), (12, 12), (40, 40), (1, 1), (33, 1),
+                 (300, 1), (9, 5), (16, 5), (17, 5)):
+        yield gen.standard_normal((m, n))
+    a = gen.standard_normal((50, 8))
+    for col in (0, 3, 7):
+        zero = a.copy()
+        zero[:, col] = 0.0
+        yield zero
+    repeated = a.copy()
+    repeated[:, 5] = repeated[:, 2]
+    yield repeated
+    # every product of column 1 with column 0 is -0, so the sign of their
+    # zero sum, and of R[0, 1], rides on the -0 that pairs with row 4
+    yield np.array([[1.0, -0.0], [2.0, -0.0], [3.0, -0.0], [4.0, -0.0],
+                    [0.0, -1.0]])
+    # binary16 subnormals (below 2^-14) and squares that overflow 65504
+    for k in (-7, -10, -12, -14, -17, -20, 4, 6, 7, 8, 12, 15):
+        yield a * 2.0 ** k
+        scaled = a.copy()
+        scaled[:, 2] *= 2.0 ** k
+        yield scaled
+        scaled[:, 0] *= 2.0 ** -k
+        yield scaled
+        last = a.copy()
+        last[:, -1] *= 2.0 ** k
+        yield last
+
+
+def test_householder_reduce_matches_the_reference_kernel_bit_for_bit():
+    """The one-tree-per-column kernel gives the reference kernel's R
+    bytes, dtype, Fortran order and RankDeficient text: on the 3000 x 48
+    workload sketches (DCT-II and Walsh-Hadamard; kappa 1e2 factors in
+    full, kappa 1e6 collapses), on odd, even, power-of-two and
+    power-of-two-plus-one row counts, square and one-column inputs, zero
+    and repeated columns, and columns scaled near the binary16 subnormal
+    and overflow limits."""
+    cases = [_prescaled_half_sketch(3000, 48, kappa, seed, transform)
+             for kappa in (1e2, 1e6) for seed in (1, 2)
+             for transform in ("dct2", "wht")]
+    cases += list(_kernel_edge_inputs())
+    outcomes = set()
+    for a in cases:
+        want = _reduce_outcome(_reference_householder_reduce, a)
+        assert _reduce_outcome(householder_reduce, a) == want
+        if isinstance(want, str):
+            outcomes.add(want)
+        else:
+            r = np.frombuffer(want[0], np.float16)
+            outcomes.add("R" if np.isfinite(r).all() else "R with inf")
+            if np.any((r != 0) & (np.abs(r) < 2.0 ** -14)):
+                outcomes.add("R with subnormals")
+    # the cases reach every exit of the kernel
+    assert {"R", "R with inf", "R with subnormals",
+            "pivot column 0 is zero at working precision",
+            "pivot column 3 is zero at working precision"} <= outcomes
+    assert any(o.startswith("reflector") and "underflowed" in o
+               for o in outcomes)

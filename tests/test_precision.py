@@ -24,7 +24,7 @@ from sketchlsq import (
     select_precision,
     triangular_with_condition,
 )
-from sketchlsq.dense import _pairwise_sum
+from sketchlsq.dense import _pairwise_tree
 from sketchlsq.precision import _BY_NAME, next_higher
 from sketchlsq.probgen import random_orthogonal_columns
 from sketchlsq.rng import mix64, stream
@@ -61,6 +61,14 @@ def test_round_to_precision_identity_and_idempotence():
     assert np.array_equal(round_to_precision(once, BINARY16), once)
 
 
+def test_round_to_precision_returns_an_array_of_its_dtype_itself():
+    x = stream(3, 3).standard_normal((40, 6))
+    assert np.shares_memory(round_to_precision(x, BINARY64), x)
+    x32 = x.astype(np.float32)
+    assert np.shares_memory(round_to_precision(x32, BINARY32), x32)
+    assert not np.shares_memory(round_to_precision(x, BINARY32), x)
+
+
 def test_round_to_precision_overflow_flag():
     with pytest.raises(Overflow, match="binary16 range"):
         round_to_precision(np.array([70000.0, -1e40]), BINARY16)
@@ -70,8 +78,17 @@ def test_round_to_precision_overflow_flag():
 
 
 def test_pairwise_sum_matches_exact():
-    x = np.arange(1.0, 1002.0)
-    assert _pairwise_sum(x) == 1001.0 * 1002.0 / 2.0
+    # 63 rows of 1..63, each column in another order: every partial sum is
+    # an integer up to 2016, exact in binary16; the first level of 40
+    # columns adds in float32, the rest in float16
+    x = np.stack([np.roll(np.arange(1.0, 64.0), c) for c in range(40)], 1)
+    root, siblings = _pairwise_tree(x.astype(np.float32))
+    assert np.array_equal(root, np.full(40, 2016.0))
+    # the siblings redo the tree for another row 0
+    node = -x[0].astype(np.float16)
+    for sibling in siblings:
+        np.add(node, sibling, out=node)
+    assert np.array_equal(node, 2016.0 - 2 * x[0])
 
 
 def test_qr_in_precision_double_is_the_native_kernel():
