@@ -21,8 +21,7 @@ backward-perturbation sizes on A and B; when measuring (rather than
 proving) eps_a is set to the working roundoff u2.
 """
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -167,9 +166,9 @@ class ProblemDiagnostics:
     measurements in the sweep harness.  norm_ap and kappa_ap are those of
     R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular values; a_p
     is the system's A_p itself, from which measure_bound_inputs forms the
-    preconditioned residual.  norm_apta and kappa_apta, which hpne's bound
-    alone reads, are measured on first use from the system's shared
-    A_p^T A, so a diagnosis that never reads them never forms it.
+    preconditioned residual.  system is the checked system they were
+    measured on, whose shared A_p^T A measure_bound_inputs reads for hpne's
+    bound alone.
     """
 
     norm_a: float
@@ -179,31 +178,17 @@ class ProblemDiagnostics:
     norm_ap: float | None = None
     kappa_ap: float | None = None
     a_p: np.ndarray | None = None
-    system: LinearSystem | None = field(default=None, repr=False)
-
-    @cached_property
-    def _apta(self):
-        if self.a_p is None:
-            return None
-        return condition_diagnostics(self.system.apta(self.a_p))
-
-    @property
-    def norm_apta(self):
-        return None if self._apta is None else self._apta.two_norm
-
-    @property
-    def kappa_apta(self):
-        return None if self._apta is None else self._apta.two_norm_condition
+    system: LinearSystem | None = None
 
 
 def measure_problem(problem, pre=None):
     """Measure the solution-independent diagnostics for bound evaluation.
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A, A_p and A_p^T A are read, not formed again.
+    whose shared R of A and A_p are read, not formed again.
     kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
     one triangular solve with the shared R_A whatever the shape, not of the
-    m x n A_p.  kappa(A_p^T A) waits for its first reader.
+    m x n A_p.
     """
     system = problem
     if not isinstance(problem, LinearSystem):
@@ -279,9 +264,10 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     )
     if report.method != "hpne":
         return inputs
+    diag_apta = condition_diagnostics(
+        diagnostics.system.apta(diagnostics.a_p))
     return replace(
         inputs,
-        kappa_apta=diagnostics.kappa_apta,
-        nu_hpne=(diagnostics.norm_ap * diagnostics.norm_a
-                 / diagnostics.norm_apta),
+        kappa_apta=diag_apta.two_norm_condition,
+        nu_hpne=diagnostics.norm_ap * diagnostics.norm_a / diag_apta.two_norm,
     )

@@ -169,6 +169,7 @@ def _pairwise_tree(x):
             y[half] = x[-1]
         x = y
         if not large:
+            # a power of two of float16 rows from here on: no odd row
             while x.shape[0] > 1:
                 siblings.append(x[1])
                 x = x[0::2] + x[1::2]
