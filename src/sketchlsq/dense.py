@@ -157,7 +157,8 @@ def _pairwise_tree(x):
     while x.shape[0] > 1:
         siblings.append(x[1])
         half, odd = divmod(x.shape[0], 2)
-        large = x.dtype == np.float32 and half * x.shape[1] >= _FLOAT16_MAX_SIZE
+        large = (x.dtype == np.float32
+                 and half * x.shape[1] >= _FLOAT16_MAX_SIZE)
         if large:
             y = np.empty((half + odd, x.shape[1]), np.float32)
             _round_half(np.add(x[0:-1:2], x[1::2], out=y[:half]))
@@ -207,7 +208,7 @@ def householder_reduce(a):
     cancels.  A pivot column that is exactly zero (or whose squared norm
     underflows to zero in the working precision) raises RankDeficient.
     """
-    m, n = a.shape
+    n = a.shape[1]
     r = np.zeros((n, n), np.float16, order="F")
     block = np.asarray(a, dtype=np.float16).astype(np.float32)
     for j in range(n):

@@ -11,8 +11,8 @@ are explicit pairwise trees of binary16 adds, not numpy's reductions.
 The one hand-written binary16 kernel is dense.householder_reduce, behind
 qr_in_precision, the one low-precision factorization, which returns R
 alone; it builds one tree per column for the column norm and the
-reflector's products together.  Its time is emulation cost: binary16 has
-no hardware path here, so it is never reported as a speedup.
+reflector's products together.  Its time is emulation cost, never a
+speedup: numpy computes binary16 in software on a CPU.
 
 Two unit-roundoff constants live on each level: `unit_roundoff` is the true
 round-to-nearest half-ulp (2^-11, 2^-24, 2^-53) describing storage, while

@@ -493,8 +493,8 @@ def _reference_householder_reduce(a):
     scalar operation's result is rounded to binary16 (_round_half), which
     gives the bits of the binary16 operation, and every inner product is a
     pairwise tree of binary16 adds, which LAPACK cannot do: the column
-    norm's in numpy float16, the reflector's by _reference_pairwise_sum.  Q is never
-    formed.
+    norm's in numpy float16, the reflector's by _reference_pairwise_sum.
+    Q is never formed.
 
     Parameters
     ----------
