@@ -162,13 +162,10 @@ def bound_notnormal(inputs, kappa_bta, nu_b):
 class ProblemDiagnostics:
     """Norms and condition numbers that depend only on (a, r_s), not on x_hat.
 
-    Computed once per problem and shared across per-method bound
-    measurements in the sweep harness.  norm_ap and kappa_ap are those of
-    R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular values; a_p
-    is the system's A_p itself, from which measure_bound_inputs forms the
-    preconditioned residual.  system is the checked system they were
-    measured on, whose shared A_p^T A measure_bound_inputs reads for hpne's
-    bound alone.
+    Measurements alone, computed once per problem and shared across
+    per-method bound measurements in the sweep harness.  norm_ap and
+    kappa_ap are those of R_A R_s^-1 (R_A the R of A's QR), which has A_p's
+    singular values.
     """
 
     norm_a: float
@@ -177,27 +174,28 @@ class ProblemDiagnostics:
     kappa_rs: float | None = None
     norm_ap: float | None = None
     kappa_ap: float | None = None
-    a_p: np.ndarray | None = None
-    system: LinearSystem | None = None
+
+
+def _system_of(problem):
+    # a checked dense.LinearSystem as it is, a LeastSquaresProblem checked
+    return problem if isinstance(problem, LinearSystem) else _check_system(
+        problem.a, problem.b)
 
 
 def measure_problem(problem, pre=None):
     """Measure the solution-independent diagnostics for bound evaluation.
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A and A_p are read, not formed again.
+    whose shared R of A is read, not formed again.
     kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
-    one triangular solve with the shared R_A whatever the shape, not of the
-    m x n A_p.
+    one triangular solve with the shared R_A whatever the shape; the m x n
+    A_p is not read.
     """
-    system = problem
-    if not isinstance(problem, LinearSystem):
-        system = _check_system(problem.a, problem.b)
+    system = _system_of(problem)
     diag_a = system.diagnostics()
     if pre is None:
         return ProblemDiagnostics(norm_a=diag_a.two_norm,
                                   kappa_a=diag_a.two_norm_condition)
-    a_p = system.a_p(pre.r_s)
     diag_rs = condition_diagnostics(pre.r_s)
     diag_ap = condition_diagnostics(
         triangular_solve(pre.r_s, system.r.T, transposed=True).T)
@@ -208,8 +206,6 @@ def measure_problem(problem, pre=None):
         kappa_rs=diag_rs.two_norm_condition,
         norm_ap=diag_ap.two_norm,
         kappa_ap=diag_ap.two_norm_condition,
-        a_p=a_p,
-        system=system,
     )
 
 
@@ -219,6 +215,9 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     Parameters
     ----------
     problem : LeastSquaresProblem or dense.LinearSystem
+        A LeastSquaresProblem is checked into a system once.  The system's
+        shared A_p and (for hpne) A_p^T A are read: on the solve's own
+        system, the very arrays the solve formed.
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap, its
         residual norm and its preconditioner; with a preconditioner, the
@@ -233,11 +232,12 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     preconditioner).  The backward-perturbation size eps_a is set to u2;
     eps_b stays None for the caller to fill.
     """
+    system = _system_of(problem)
     pre = report.preconditioner
     u2 = BINARY64.bound_roundoff
     u1 = pre.computed_in.bound_roundoff if pre is not None else u2
     if diagnostics is None:
-        diagnostics = measure_problem(problem, pre)
+        diagnostics = measure_problem(system, pre)
     x_hat = np.asarray(report.x_hat, dtype=np.float64)
     # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
     # near the binary64 range
@@ -252,9 +252,10 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     )
     if pre is None:
         return inputs
+    a_p = system.a_p(pre.r_s)
     y = pre.r_s @ x_hat
     norm_y = float(linalg.norm(y))
-    r_p = diagnostics.a_p @ y - problem.b
+    r_p = a_p @ y - system.b
     inputs = replace(
         inputs,
         kappa_rs=diagnostics.kappa_rs,
@@ -264,8 +265,7 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     )
     if report.method != "hpne":
         return inputs
-    diag_apta = condition_diagnostics(
-        diagnostics.system.apta(diagnostics.a_p))
+    diag_apta = condition_diagnostics(system.apta(a_p))
     return replace(
         inputs,
         kappa_apta=diag_apta.two_norm_condition,

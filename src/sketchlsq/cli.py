@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .bounds import measure_bound_inputs
 from .dense import _check_system
-from .errors import SketchLsqError
+from .errors import DimensionMismatch, SketchLsqError
 from .harness import BENCH_COLUMNS, CSV_COLUMNS, SweepConfig, rho_grid
 from .harness import run_benchmark, run_sweep, write_csv
 from .mmio import read_matrix
@@ -177,13 +177,14 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, OSError, DimensionMismatch) as exc:
+        # a shape misuse is an interface error, not a numerical failure
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
     except SketchLsqError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -626,14 +626,12 @@ def _check_system(a, b, x_star=None):
         if b is not a.b or x_star is not a.x_star:
             raise ValueError("a LinearSystem takes its own b and x_star")
         return a
-    a = _as_matrix(a)
+    a = _tall_matrix(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError(f"b must be 1-D, got ndim={b.ndim}")
     if not np.isfinite(b).all():
         raise ValueError("b contains non-finite entries")
-    if a.shape[0] < a.shape[1]:
-        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"b length {b.shape[0]} != rows {a.shape[0]}")
     if x_star is not None:

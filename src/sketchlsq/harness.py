@@ -4,7 +4,10 @@ run_sweep solves a grid of generated problems (one residual scale per
 point, several trials per point) with a set of methods, measures errors
 and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
-Each point checks A once into a dense.LinearSystem, whose QR of A (one
+A point's preconditioner comes from one prepare_preconditioner call, the
+step algorithm1_pipeline makes, so its precision, build and escalation are
+the pipeline's; the diagnosis then reads the point's checked system.  Each
+point checks A once into a dense.LinearSystem, whose QR of A (one
 geqrf for qr, sne, kappa(A) and, by its R, kappa(A_p)), A^T A, A^T b, A_p
 and A_p^T A every method and diagnostic of the point shares: the point
 factors no other matrix with A's m rows.  A row's wall_ms counts the
@@ -32,8 +35,8 @@ from .bounds import (
 )
 from .dense import _check_system
 from .errors import SketchLsqError
-from .precision import level_from_name, resolve_precision
-from .probgen import generate_problem
+from .precision import level_from_name
+from .probgen import _check_shape, generate_problem
 from .sketch import DCT2, TRANSFORMS
 from .solvers import (
     METHODS,
@@ -108,7 +111,10 @@ class SweepConfig:
             raise ValueError(f"unknown transform {self.transform!r}")
         if self.precision != "auto":
             level_from_name(self.precision)  # validates the name
-        sketch_rows(self.d_factor, self.n)  # rejects a non-finite d_factor
+        # what generate_problem or build_preconditioner rejects at every point
+        _check_shape(self.m, self.n, self.kappa)
+        if any(METHODS[meth].preconditioned for meth in self.methods):
+            sketch_rows(self.d_factor, self.n)
 
 
 def _blank_row():
@@ -141,27 +147,24 @@ def _sweep_point(config, grid_index, rho, trial):
         return rows
 
     pre = None
-    level_name = ""
     pre_error = None
     if any(METHODS[method].preconditioned for method in config.methods):
         try:
-            level, _ = resolve_precision(system, config.precision)
-            pre, _ = prepare_preconditioner(
-                system, config.d_factor, config.transform, level, sub_seed)
-            level_name = pre.computed_in.name
+            pre, _, _ = prepare_preconditioner(
+                system, config.d_factor, config.transform, config.precision,
+                sub_seed)
         except (SketchLsqError, ValueError) as exc:
             pre_error = exc
 
     diagnostics = measure_problem(system, pre)
-    d = sketch_rows(config.d_factor, config.n)
     rows = []
     for method in config.methods:
         spec = METHODS[method]
         row = dict(base)
         row["method"] = method
         if spec.preconditioned:
-            row["precision"] = level_name
-            row["d"] = d
+            row["precision"] = "" if pre is None else pre.computed_in.name
+            row["d"] = sketch_rows(config.d_factor, config.n)
         try:
             if spec.preconditioned and pre_error is not None:
                 raise pre_error

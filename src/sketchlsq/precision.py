@@ -217,16 +217,3 @@ def decide_precision(a):
         overflowed=overflowed,
     )
 
-
-def resolve_precision(a, precision):
-    """The preconditioner precision for a, as (level, decision).
-
-    a is a matrix or a dense.LinearSystem, as for decide_precision.
-    precision is "auto" (decide_precision estimates kappa0 and decision is
-    its result) or a precision name (decision is None); an unknown name
-    raises ValueError.
-    """
-    if precision == "auto":
-        decision = decide_precision(a)
-        return decision.selected, decision
-    return level_from_name(precision), None

@@ -77,6 +77,14 @@ def triangular_with_condition(n, kappa, seed):
     return qr_r_factor((u * sv) @ v.T)
 
 
+def _check_shape(m, n, kappa):
+    # generate_problem's rules for its shape and condition number
+    if not m > n >= 1:
+        raise ValueError(f"need m > n >= 1, got m={m}, n={n}")
+    if not kappa >= 1 or (n == 1 and kappa != 1):
+        raise ValueError(f"need kappa >= 1, and 1 at n = 1, got {kappa}")
+
+
 def generate_problem(m, n, kappa, rho, seed):
     """Generate a full-rank instance with planted x*, spectrum, and residual.
 
@@ -98,10 +106,7 @@ def generate_problem(m, n, kappa, rho, seed):
         If three residual-direction draws in a row land (numerically) in
         the column span, leaving nothing to normalize.
     """
-    if not m > n >= 1:
-        raise ValueError(f"need m > n >= 1, got m={m}, n={n}")
-    if kappa < 1:
-        raise ValueError(f"need kappa >= 1, got {kappa}")
+    _check_shape(m, n, kappa)
     if rho < 0:
         raise ValueError(f"need rho >= 0, got {rho}")
     q1 = random_orthogonal_columns(m, n, rng.mix64(seed, 1))

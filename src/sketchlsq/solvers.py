@@ -45,9 +45,10 @@ from .precision import (
     BINARY64,
     PrecisionDecision,
     PrecisionLevel,
+    decide_precision,
+    level_from_name,
     next_higher,
     qr_in_precision,
-    resolve_precision,
     round_to_precision,
 )
 from .sketch import DCT2, apply_sketch, make_sketch
@@ -201,11 +202,14 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
 
 
 def sketch_rows(d_factor, n):
-    """Row count d = ceil(d_factor * n) of the sketch of an m x n matrix."""
+    """Row count d = ceil(d_factor * n) >= n of the sketch of n columns."""
     size = d_factor * n
     if not math.isfinite(size):
         raise ValueError(f"d_factor must be finite, got {d_factor}")
-    return int(math.ceil(size))
+    d = int(math.ceil(size))
+    if d < n:
+        raise ValueError(f"d_factor {d_factor} gives d={d} < n={n}")
+    return d
 
 
 def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0):
@@ -223,24 +227,18 @@ def build_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64, seed=0
     Overflow
         If demotion, the sketch or the QR leaves the working range.
     RankDeficient
-        If the sketched matrix loses column rank at the working precision
-        (including a zero diagonal surviving to the promoted factor).
+        If the sketched matrix loses column rank at the working precision.
     """
     a = _matrix_of(a, _tall_matrix)
     m, n = a.shape
     d = sketch_rows(d_factor, n)
-    if d < n:
-        raise ValueError(f"d_factor {d_factor} gives d={d} < n={n}")
     rounded = round_to_precision(a, level)
     op = make_sketch(m, d, transform, seed)
     # the demotion of a finite a is finite, or round_to_precision raised
     a_s = apply_sketch(op, LinearSystem(rounded))
     if not np.isfinite(a_s).all():
         raise Overflow(f"sketch exceeds the {level.name} range")
-    r_s = qr_in_precision(a_s, level)
-    if (np.diagonal(r_s) == 0).any():
-        raise RankDeficient("sketched factor has a zero diagonal entry")
-    return Preconditioner(r_s=r_s, computed_in=level,
+    return Preconditioner(r_s=qr_in_precision(a_s, level), computed_in=level,
                           sketch_descriptor=op.descriptor())
 
 
@@ -295,29 +293,37 @@ def solve_hpne(a, b, pre, x_star=None):
     return _report("hpne", system, x, t0, preconditioner=pre)
 
 
-def prepare_preconditioner(a, d_factor=3.0, transform=DCT2, level=BINARY64,
-                           seed=0):
-    """Build the preconditioner and A_p, escalating precision once on failure.
+def prepare_preconditioner(a, d_factor=3.0, transform=DCT2,
+                           precision="binary64", seed=0):
+    """Choose the precision, build the preconditioner and A_p: one step.
 
-    A RankDeficient sketch factor (the typical binary16 failure mode on
+    precision is "auto" (decide_precision's binary64 condition estimate
+    picks the level: binary16 below 1e4, binary32 up to 1e8, binary64
+    beyond or when the estimate overflows) or a precision name ("half",
+    "single", "double" or a binary name), which skips the estimate.  A
+    RankDeficient sketch factor (the typical binary16 failure mode on
     ill-conditioned input) or an Overflow (demotion, sketch or factor
     leaving the working range, as a binary16 sketch of entries near 4e4
     does) triggers exactly one retry at the next wider precision; a second
-    failure propagates.  A_p is formed here too: when a is a
-    dense.LinearSystem it is kept in a's record, so the solves and
-    diagnostics read it and a solve's wall_ms does not count it.
+    failure propagates.  When a is a dense.LinearSystem, A_p is kept in
+    its record, so the solves and diagnostics read it and a solve's
+    wall_ms does not count it.
 
     Returns
     -------
-    (pre, escalated_from) : tuple
+    (pre, decision, escalated_from) : tuple
+        decision is decide_precision's result for "auto", else None;
         escalated_from is the precision that failed, or None.
     """
+    decision = decide_precision(a) if precision == "auto" else None
+    level = (level_from_name(precision) if decision is None
+             else decision.selected)
     escalated_from = None
     while True:
         try:
             pre = build_preconditioner(a, d_factor, transform, level, seed)
             precondition_matrix(a, pre)
-            return pre, escalated_from
+            return pre, decision, escalated_from
         except (RankDeficient, Overflow):
             wider = next_higher(level)
             if escalated_from is not None or wider is None:
@@ -330,11 +336,9 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
                         transform=DCT2, seed=0, x_star=None):
     """End-to-end sketch-preconditioned solve with automatic precision.
 
-    With precision="auto" the preconditioner precision comes from a cheap
-    binary64 condition estimate (estimate_log10_condition): binary16 below
-    1e4, binary32 up to 1e8, binary64 beyond (or when the estimate
-    overflows).  A fixed precision name ("half", "single", "double" or the
-    binary names) skips the estimate.  The final solve is always binary64.
+    One prepare_preconditioner call chooses the precision (precision is
+    "auto" or a precision name, as there), builds the preconditioner and
+    A_p, escalating once on failure; the method then solves in binary64.
 
     Parameters
     ----------
@@ -352,9 +356,8 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
     if spec is None or not spec.preconditioned:
         raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
-    level, decision = resolve_precision(system, precision)
-    pre, escalated_from = prepare_preconditioner(
-        system, d_factor, transform, level, seed)
+    pre, decision, escalated_from = prepare_preconditioner(
+        system, d_factor, transform, precision, seed)
     report = spec.solve(system, pre)
     report.precision_decision = decision
     report.escalated_from = escalated_from

@@ -125,6 +125,9 @@ def test_measured_inputs_satisfy_norm_identities():
         for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star),
                        solve_hpne(p.a, p.b, pre, x_star=p.x_star)):
             inputs = measure_bound_inputs(p, report, diagnostics=diag)
+            # the same record from the problem's checked system
+            assert measure_bound_inputs(_check_system(p.a, p.b), report) \
+                == inputs == measure_bound_inputs(p, report)
             if report.method == "pne":
                 assert inputs.nu_pne <= 1.0 + 1e-12
                 assert inputs.nu_pne > 0.0

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sketchlsq import NotPositiveDefinite, dense, load_problem, solvers
+from sketchlsq import (
+    NotPositiveDefinite, dense, load_problem, save_problem, solvers)
 from sketchlsq.cli import main
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS
 from sketchlsq.mmio import read_matrix, write_matrix
@@ -184,6 +186,23 @@ def test_invalid_arguments_exit_two(tmp_path):
         short = _gen(tmp_path, name=f"short_{name}")
         write_matrix(short / f"{name}.mtx", vector[:-1])
         assert main(["solve", "--problem", str(short)]) == 2
+    # a B of the wrong shape, and an archive whose meta.json agrees with a
+    # wide A: shape misuses, not numerical failures
+    for shape in ((200, 11), (200, 1)):
+        write_matrix(tmp_path / "B.mtx", np.ones(shape))
+        assert main(["solve", "--problem", str(path), "--method", "nne",
+                     "--b-matrix", str(tmp_path / "B.mtx")]) == 2
+    save_problem(replace(problem, a=problem.a[:10].copy(), b=problem.b[:10]),
+                 tmp_path / "wide")
+    for method in ("qr", "pne"):
+        assert main(["solve", "--problem", str(tmp_path / "wide"),
+                     "--method", method]) == 2
+    # a sweep config that no point can run
+    for extra in (["--m", "5", "--n", "50"], ["--m", "150", "--n", "10",
+                                            "--kappa", "0.5"],
+                  ["--m", "150", "--n", "5", "--d-factor", "0.5"]):
+        assert main(["sweep", *extra, "--rho-points", "1",
+                     "--csv", str(tmp_path / "s.csv")]) == 2
 
 
 def test_non_finite_b_exits_two(tmp_path, capsys):

@@ -11,8 +11,11 @@ import pytest
 import scipy.linalg
 
 from sketchlsq import (
+    BINARY16,
+    BINARY32,
     BINARY64,
     SweepConfig,
+    algorithm1_pipeline,
     build_preconditioner,
     condition_diagnostics,
     generate_problem,
@@ -24,6 +27,7 @@ from sketchlsq import (
 from sketchlsq import dense, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
 from sketchlsq.rng import mix64
+from sketchlsq.solvers import prepare_preconditioner
 
 
 def _small_config(**overrides):
@@ -56,6 +60,14 @@ def test_sweep_config_validation():
     for d_factor in (np.inf, np.nan, 1e308):
         with pytest.raises(ValueError, match="d_factor must be finite"):
             _small_config(d_factor=d_factor)
+    # what every point would fail on: generate_problem's shape and kappa,
+    # and a sketch of fewer than n rows when a preconditioned method runs
+    for overrides in (dict(m=5, n=50), dict(m=10), dict(n=0), dict(kappa=0.5),
+                      dict(kappa=np.nan), dict(n=1), dict(d_factor=0.5),
+                      dict(d_factor=0.85, methods=("hpne",))):
+        with pytest.raises(ValueError, match="need m > n|need kappa|d="):
+            _small_config(**overrides)
+    _small_config(d_factor=0.5, methods=("qr", "ne"))
 
 
 def test_sweep_row_count_and_schema():
@@ -93,7 +105,10 @@ def test_sweep_bounds_attached_per_method():
 def test_sweep_kappa_columns_measure_its_preconditioner():
     """kappa_rs and kappa_ap are the condition numbers of the R_s and A_p
     that the row's solve used, rebuilt here from the row's seed: kappa_ap
-    is taken from R_A R_s^-1, where R_A is the R of A's QR."""
+    is taken from R_A R_s^-1, where R_A is the R of A's QR.  With "auto"
+    and with a forced binary16 point that escalates (the second pinned
+    sweep's first), the one preconditioner step returns decide_precision's
+    decision, and its escalation and R_s are the pipeline's and the row's."""
     cfg = _small_config(trials_per_point=1)
     for row in run_sweep(cfg):
         if row["method"] not in ("pne", "hpne"):
@@ -106,6 +121,33 @@ def test_sweep_kappa_columns_measure_its_preconditioner():
         assert row["kappa_ap"] == condition_diagnostics(
             triangular_solve(pre.r_s, dense.qr_r_factor(p.a).T,
                              transposed=True).T).two_norm_condition
+    for cfg in (_small_config(precision="auto", trials_per_point=1),
+                _small_config(m=300, n=20, kappa=3e3, rho_grid=[1e-12],
+                              precision="half", transform="wht",
+                              trials_per_point=1, seed=3)):
+        for row in run_sweep(cfg):
+            if row["method"] not in ("pne", "hpne"):
+                continue
+            p = generate_problem(cfg.m, cfg.n, cfg.kappa, row["rho"],
+                                 row["seed"])
+            system = dense._check_system(p.a, p.b, p.x_star)
+            pre, decision, escalated_from = prepare_preconditioner(
+                system, cfg.d_factor, cfg.transform, cfg.precision,
+                row["seed"])
+            assert row["precision"] == pre.computed_in.name
+            assert row["kappa_rs"] == condition_diagnostics(
+                pre.r_s).two_norm_condition
+            report = algorithm1_pipeline(
+                p.a, p.b, row["method"], cfg.precision, cfg.d_factor,
+                cfg.transform, row["seed"], p.x_star)
+            assert report.preconditioner.r_s.tobytes() == pre.r_s.tobytes()
+            assert report.escalated_from == escalated_from
+            assert report.precision_decision == decision
+            if cfg.precision == "auto":
+                assert decision == precision.decide_precision(p.a)
+            else:
+                assert decision is None
+    assert escalated_from is BINARY16 and pre.computed_in is BINARY32
 
 
 def test_sweep_is_deterministic_up_to_timing():

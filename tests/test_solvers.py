@@ -413,7 +413,7 @@ def test_shared_a_p_is_kept_per_factor():
     again for the same factor and formed again for another."""
     p = generate_problem(400, 16, 1e4, 1e-6, seed=2)
     system = dense._check_system(p.a, p.b, p.x_star)
-    pre, _ = prepare_preconditioner(system, seed=2)
+    pre, _, _ = prepare_preconditioner(system, seed=2)
     assert system.cost("a_p") > 0
     a_p = system.a_p(pre.r_s)
     assert np.array_equal(a_p, np.ascontiguousarray(dense.triangular_solve(
