@@ -6,13 +6,15 @@ unit roundoffs collected in a BoundInputs record.  measure_bound_inputs
 fills the record from an actual problem/solution pair, using the LAPACK
 singular values of condition_diagnostics for every norm and condition
 number (never the bound being tested), so the sweep comparisons are honest.
-The solvers compute no diagnostics; measure_problem, run after a solve,
-is the one place that measures kappa(A), kappa(R_s) and kappa(A_p).  It
-reads kappa(A_p) and norm(A_p) from the n x n matrix R_A R_s^-1, where R_A
-is the R of the system's one QR of A: A_p = A R_s^-1 = Q (R_A R_s^-1), so
-the two have the same singular values in exact arithmetic, and the m x n
-A_p is never factored (the identity of randomized Cholesky QR: Balabanov
-2022; Higgins, Szyld, Boman & Yamazaki 2023).
+The solvers compute no diagnostics; measure_problem, which
+measure_bound_inputs runs after a solve, is the one place that measures
+kappa(A), kappa(R_s) and kappa(A_p), and the checked system
+(dense.LinearSystem) keeps what it measures.  It reads kappa(A_p) and
+norm(A_p) from the n x n matrix R_A R_s^-1, where R_A is the R of the
+system's one QR of A: A_p = A R_s^-1 = Q (R_A R_s^-1), so the two have the
+same singular values in exact arithmetic, and the m x n A_p is never
+factored (the identity of randomized Cholesky QR: Balabanov 2022; Higgins,
+Szyld, Boman & Yamazaki 2023).
 
 Conventions: u1 is the roundoff of the preconditioner precision, u2 of the
 working precision; residual ratios are norm(residual) / (norm(matrix) *
@@ -162,10 +164,10 @@ def bound_notnormal(inputs, kappa_bta, nu_b):
 class ProblemDiagnostics:
     """Norms and condition numbers that depend only on (a, r_s), not on x_hat.
 
-    Measurements alone, computed once per problem and shared across
-    per-method bound measurements in the sweep harness.  norm_ap and
-    kappa_ap are those of R_A R_s^-1 (R_A the R of A's QR), which has A_p's
-    singular values.
+    Measurements alone, from the checked system's record, which keeps them
+    for every bound measurement on that system.  norm_ap and kappa_ap are
+    those of R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular
+    values.
     """
 
     norm_a: float
@@ -186,7 +188,8 @@ def measure_problem(problem, pre=None):
     """Measure the solution-independent diagnostics for bound evaluation.
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A is read, not formed again.
+    whose shared R of A is read, not formed again; the system keeps the
+    SVDs of A and (for the last R_s) of R_s and R_A R_s^-1 taken here.
     kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
     one triangular solve with the shared R_A whatever the shape; the m x n
     A_p is not read.
@@ -196,9 +199,10 @@ def measure_problem(problem, pre=None):
     if pre is None:
         return ProblemDiagnostics(norm_a=diag_a.two_norm,
                                   kappa_a=diag_a.two_norm_condition)
-    diag_rs = condition_diagnostics(pre.r_s)
-    diag_ap = condition_diagnostics(
-        triangular_solve(pre.r_s, system.r.T, transposed=True).T)
+    diag_rs = system._shared(
+        "diag_rs", lambda: condition_diagnostics(pre.r_s), pre.r_s)
+    diag_ap = system._shared("diag_ap", lambda: condition_diagnostics(
+        triangular_solve(pre.r_s, system.r.T, transposed=True).T), pre.r_s)
     return ProblemDiagnostics(
         norm_a=diag_a.two_norm,
         kappa_a=diag_a.two_norm_condition,
@@ -209,23 +213,24 @@ def measure_problem(problem, pre=None):
     )
 
 
-def measure_bound_inputs(problem, report, diagnostics=None):
+def measure_bound_inputs(problem, report):
     """Fill a BoundInputs record from a solved instance.
+
+    The one diagnosis call of sketchlsq solve and of each sweep row.
 
     Parameters
     ----------
     problem : LeastSquaresProblem or dense.LinearSystem
         A LeastSquaresProblem is checked into a system once.  The system's
-        shared A_p and (for hpne) A_p^T A are read: on the solve's own
-        system, the very arrays the solve formed.
+        shared A_p, (for hpne) A_p^T A and measure_problem's measurements
+        are read: on the solve's own system, what it and earlier diagnoses
+        formed.
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap, its
         residual norm and its preconditioner; with a preconditioner, the
         preconditioned quantities (kappa_rs, kappa_ap, nu_pne,
         res_ratio_ap) are measured too, and for an hpne report, whose
         bound alone reads them, kappa_apta and nu_hpne.
-    diagnostics : ProblemDiagnostics or None
-        measure_problem's record for (problem, that preconditioner).
 
     u2 is the binary64 roundoff 2^-52 and u1 the bound-convention
     roundoff of the preconditioner precision (u2 when there is no
@@ -236,8 +241,7 @@ def measure_bound_inputs(problem, report, diagnostics=None):
     pre = report.preconditioner
     u2 = BINARY64.bound_roundoff
     u1 = pre.computed_in.bound_roundoff if pre is not None else u2
-    if diagnostics is None:
-        diagnostics = measure_problem(system, pre)
+    diagnostics = measure_problem(system, pre)
     x_hat = np.asarray(report.x_hat, dtype=np.float64)
     # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
     # near the binary64 range

@@ -548,8 +548,10 @@ class LinearSystem:
     use, by the expression each reader used on its own, so with the same bits:
     gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
     reflectors), a_p(r_s) (a r_s^{-1}) and apta(a_p) (a_p^T a), each kept
-    for its last argument, and norm_a (Frobenius).  cost(*names) is the
-    time their forming took, which a solve that reads them counts.
+    for its last argument, norm_a (Frobenius), and the diagnosis's SVDs:
+    diagnostics() (of a) and, for bounds.measure_problem, those of the
+    last r_s and r r_s^{-1}.  cost(*names) is the time their forming took,
+    which a solve that reads them counts.
     A LinearSystem stands in for its a where a function takes A, and so
     has a's shape and dtype.
     """
@@ -613,7 +615,8 @@ class LinearSystem:
     def diagnostics(self):
         """condition_diagnostics(a), from the shared R where it takes one."""
         m, n = self.a.shape
-        return condition_diagnostics(self.r if m >= 11 * n // 6 else self.a)
+        return self._shared("diagnostics", lambda: condition_diagnostics(
+            self.r if m >= 11 * n // 6 else self.a))
 
 
 def _matrix_of(a, check=_as_matrix):

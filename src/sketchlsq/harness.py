@@ -6,16 +6,17 @@ and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
 A point's preconditioner comes from one prepare_preconditioner call, the
 step algorithm1_pipeline makes, so its precision, build and escalation are
-the pipeline's; the diagnosis then reads the point's checked system.  Each
-point checks A once into a dense.LinearSystem, whose QR of A (one
-geqrf for qr, sne, kappa(A) and, by its R, kappa(A_p)), A^T A, A^T b, A_p
-and A_p^T A every method and diagnostic of the point shares: the point
-factors no other matrix with A's m rows.  A row's wall_ms counts the
-products its method reads, at the time they took to form, but not the
-preconditioner or A_p.  Rows are a deterministic function of the config, the
-BLAS build and its thread count, except for wall_ms: on another thread
-count the blocked geqrf (n >= 129) and the general products A_p^T A
-(from about m = 2000 on) round differently.
+the pipeline's; each row diagnoses after its solve by sketchlsq solve's
+call, measure_bound_inputs(system, report).  Each point checks A once into
+a dense.LinearSystem, whose QR of A (one geqrf for qr, sne, kappa(A) and,
+by its R, kappa(A_p)), A^T A, A^T b, A_p, A_p^T A and condition numbers
+every method and diagnosis of the point shares: the point factors no other
+matrix with A's m rows.  A row's wall_ms counts the products its method
+reads, at the time they took to form, but not the preconditioner or A_p.
+Rows are a deterministic function of the config, the BLAS build and its
+thread count, except for wall_ms: on another thread count the blocked
+geqrf (n >= 129) and the general products A_p^T A (from about m = 2000 on)
+round differently.
 """
 
 import csv
@@ -31,7 +32,6 @@ from .bounds import (
     bound_ls,
     bound_ne_family,
     measure_bound_inputs,
-    measure_problem,
 )
 from .dense import _check_system
 from .errors import SketchLsqError
@@ -156,7 +156,6 @@ def _sweep_point(config, grid_index, rho, trial):
         except (SketchLsqError, ValueError) as exc:
             pre_error = exc
 
-    diagnostics = measure_problem(system, pre)
     rows = []
     for method in config.methods:
         spec = METHODS[method]
@@ -169,15 +168,15 @@ def _sweep_point(config, grid_index, rho, trial):
             if spec.preconditioned and pre_error is not None:
                 raise pre_error
             report = spec.solve(system, pre)
-            inputs = measure_bound_inputs(system, report, diagnostics)
+            inputs = measure_bound_inputs(system, report)
             row["rel_error"] = report.relative_error
             row["rel_residual"] = inputs.res_ratio_a
             row["wall_ms"] = report.wall_ms
             row["bound_ls"] = bound_ls(inputs)
             row["bound_ne"] = bound_ne_family(inputs)
             if spec.preconditioned:
-                row["kappa_ap"] = diagnostics.kappa_ap
-                row["kappa_rs"] = diagnostics.kappa_rs
+                row["kappa_ap"] = inputs.kappa_ap
+                row["kappa_rs"] = inputs.kappa_rs
             if spec.bound is not None:
                 for variant in ("old", "new"):
                     row[f"bound_{method}_{variant}"] = spec.bound(inputs,

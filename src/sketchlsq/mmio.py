@@ -20,10 +20,15 @@ def write_matrix(path, a):
 
 
 def read_matrix(path):
-    """Read a Matrix Market file as a float64 array (2-D, dense)."""
+    """Read a Matrix Market file as a float64 array (2-D, dense).
+
+    Raises ValueError for complex data, which has no float64 value.
+    """
     data = mmread(str(path))
     if hasattr(data, "toarray"):
         data = data.toarray()
+    if np.iscomplexobj(data):
+        raise ValueError(f"{path} holds complex entries")
     return np.asarray(data, dtype=np.float64)
 
 

@@ -132,17 +132,18 @@ def qr_in_precision(a, level):
     if level.name != "binary16":
         return qr_r_factor(round_to_precision(a, level)).astype(
             np.float64, copy=False)
-    work = a.astype(np.float64)
+    work = a.astype(np.float64, copy=False)
     maxabs = float(np.abs(work).max())
     if maxabs == 0:
         raise RankDeficient("zero matrix")
-    scale = 2.0 ** -math.frexp(maxabs)[1]
-    rounded = round_to_precision(work * scale, BINARY16)
+    # ldexp, as 2.0 ** -e leaves the float range for maxabs below 2^-1022
+    e = math.frexp(maxabs)[1]
+    rounded = round_to_precision(np.ldexp(work, -e), BINARY16)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         r16 = householder_reduce(rounded)
     if not np.isfinite(r16).all():
         raise Overflow("binary16 computation produced non-finite values")
-    return r16.astype(np.float64) / scale
+    return np.ldexp(r16.astype(np.float64), e)
 
 
 def estimate_log10_condition(a):

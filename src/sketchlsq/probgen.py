@@ -21,6 +21,9 @@ from .errors import DegenerateResidual
 from .mmio import read_matrix, read_vector, write_matrix
 
 FORMAT_VERSION = 1
+# meta.json's keys and the JSON numbers each holds (type, so no bool)
+_META_TYPES = {"format_version": (int,), "m": (int,), "n": (int,),
+               "kappa": (int, float), "rho": (int, float), "seed": (int,)}
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,20 @@ def save_problem(problem, directory):
 
 
 def load_problem(directory):
-    """Load an archived problem; the round trip is bitwise exact."""
+    """Load an archived problem; the round trip is bitwise exact.
+
+    Raises ValueError when meta.json is malformed or a matrix file holds
+    complex entries or disagrees with it.
+    """
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    version = meta.get("format_version")
+    if not isinstance(meta, dict) or any(
+            type(meta.get(key)) not in types
+            for key, types in _META_TYPES.items()):
+        raise ValueError("meta.json must be an object with integer "
+                         "format_version, m, n and seed and numeric kappa "
+                         "and rho")
+    version = meta["format_version"]
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported archive format_version {version!r}")
     a = read_matrix(os.path.join(directory, "A.mtx"))
@@ -166,4 +179,4 @@ def load_problem(directory):
             raise ValueError(
                 f"{name}.mtx shape {data.shape} disagrees with meta {m}x{n}")
     return LeastSquaresProblem(a=a, b=b, x_star=x_star, rho=float(meta["rho"]),
-                               kappa=float(meta["kappa"]), seed=int(meta["seed"]))
+                               kappa=float(meta["kappa"]), seed=meta["seed"])

@@ -265,8 +265,7 @@ def solve_pne(a, b, pre, x_star=None):
     t0 = time.perf_counter()
     a_p = precondition_matrix(system, pre)
     with _silent_overflow():
-        g = a_p.T @ a_p
-        rhs = a_p.T @ system.b
+        g, rhs = _finite_system("pne", a_p.T @ a_p, a_p.T @ system.b)
         try:
             y = cholesky_solve(g, rhs)
             lu_fallback = False
@@ -289,7 +288,8 @@ def solve_hpne(a, b, pre, x_star=None):
     t0 = time.perf_counter() - system.cost("apta")
     a_p = precondition_matrix(system, pre)
     with _silent_overflow():
-        x = lu_solve(system.apta(a_p), a_p.T @ system.b)
+        x = lu_solve(*_finite_system("hpne", system.apta(a_p),
+                                     a_p.T @ system.b))
     return _report("hpne", system, x, t0, preconditioner=pre)
 
 

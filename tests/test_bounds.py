@@ -124,7 +124,7 @@ def test_measured_inputs_satisfy_norm_identities():
         diag = measure_problem(p, pre=pre)
         for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star),
                        solve_hpne(p.a, p.b, pre, x_star=p.x_star)):
-            inputs = measure_bound_inputs(p, report, diagnostics=diag)
+            inputs = measure_bound_inputs(p, report)
             # the same record from the problem's checked system
             assert measure_bound_inputs(_check_system(p.a, p.b), report) \
                 == inputs == measure_bound_inputs(p, report)
@@ -170,12 +170,12 @@ def test_measured_residual_ratio_reads_the_report():
     diag = measure_problem(p, pre)
     for report in (solve_pne(p.a, p.b, pre, x_star=p.x_star),
                    solve_hpne(p.a, p.b, pre, x_star=p.x_star)):
-        inputs = measure_bound_inputs(p, report, diagnostics=diag)
+        inputs = measure_bound_inputs(p, report)
         assert inputs.res_ratio_a == pytest.approx(
             np.linalg.norm(p.a @ report.x_hat - p.b)
             / (diag.norm_a * np.linalg.norm(report.x_hat)), rel=1e-12)
         doubled = replace(report, residual_norm=2.0 * report.residual_norm)
-        assert measure_bound_inputs(p, doubled, diagnostics=diag) \
+        assert measure_bound_inputs(p, doubled) \
             .res_ratio_a == 2.0 * inputs.res_ratio_a
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
 
 from sketchlsq import (
@@ -186,6 +187,20 @@ def test_invalid_arguments_exit_two(tmp_path):
         short = _gen(tmp_path, name=f"short_{name}")
         write_matrix(short / f"{name}.mtx", vector[:-1])
         assert main(["solve", "--problem", str(short)]) == 2
+    # a meta.json without m, holding a list, or with a null seed, and an A
+    # or B with complex entries: malformed files, not crashes or real parts
+    for name, meta in (("no_m", '{"format_version": 1, "n": 12, "kappa": '
+                        '1e3, "rho": 1e-6, "seed": 5}'), ("list", "[]"),
+                       ("null_seed", '{"format_version": 1, "m": 200, "n": '
+                        '12, "kappa": 1e3, "rho": 1e-6, "seed": null}')):
+        bad = _gen(tmp_path, name=name)
+        (bad / "meta.json").write_text(meta)
+        assert main(["solve", "--problem", str(bad)]) == 2
+    complex_a = _gen(tmp_path, name="complex")
+    scipy.io.mmwrite(str(complex_a / "A.mtx"), problem.a + 1j)
+    assert main(["solve", "--problem", str(complex_a)]) == 2
+    assert main(["solve", "--problem", str(path), "--method", "nne",
+                 "--b-matrix", str(complex_a / "A.mtx")]) == 2
     # a B of the wrong shape, and an archive whose meta.json agrees with a
     # wide A: shape misuses, not numerical failures
     for shape in ((200, 11), (200, 1)):
@@ -248,13 +263,24 @@ def test_non_finite_solution_exits_three(tmp_path, capsys):
     p = load_problem(path)
     write_matrix(path / "A.mtx", p.a * 1e200)
     write_matrix(path / "b.mtx", p.b * 1e200)
-    for method in ("sne", "ne"):
+    # A_p overflows once A and b are scaled by 1e-300 at kappa 1e12
+    tiny = tmp_path / "tiny"
+    assert main(["gen", "--m", "200", "--n", "10", "--kappa", "1e12",
+                 "--rho", "1e-6", "--seed", "1", "--out", str(tiny)]) == 0
+    q = load_problem(tiny)
+    write_matrix(tiny / "A.mtx", q.a * 1e-300)
+    write_matrix(tiny / "b.mtx", q.b * 1e-300)
+    solves = [(path, method, "auto") for method in ("sne", "ne")]
+    solves += [(tiny, method, precision) for method in ("pne", "hpne")
+               for precision in ("auto", "double", "single")]
+    for archive, method, precision in solves:
         # pytest records warnings instead of printing them, so catch them
         # here too: outside pytest each would reach stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["solve", "--problem", str(path),
-                         "--method", method]) == 3
+            assert main(["solve", "--problem", str(archive),
+                         "--method", method,
+                         "--precision", precision]) == 3
         err = capsys.readouterr().err
         assert "Overflow" in err
         assert "RuntimeWarning" not in err

@@ -24,7 +24,7 @@ from sketchlsq import (
     run_sweep,
     triangular_solve,
 )
-from sketchlsq import dense, precision
+from sketchlsq import bounds, dense, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
 from sketchlsq.rng import mix64
 from sketchlsq.solvers import prepare_preconditioner
@@ -239,7 +239,10 @@ def _one_point(**overrides):
 
 
 def test_sweep_point_factors_a_once(monkeypatch):
-    """qr, sne and the kappa(A) diagnostic read one geqrf of A."""
+    """qr, sne and the kappa(A) diagnostic read one geqrf of A, and the
+    point's rows share its condition measurements: kappa(A), kappa(R_s),
+    kappa(R_A R_s^-1) and hpne's kappa(A_p^T A) are 4 SVDs, not the 10 of
+    one measurement per row.  The system measures another R_s again."""
     cfg, a = _one_point()
     qr = scipy.linalg.qr
     factored = []
@@ -248,10 +251,32 @@ def test_sweep_point_factors_a_once(monkeypatch):
         factored.append(np.array_equal(x, a))
         return qr(x, *args, **kwargs)
 
+    measured = []
+
+    def counting_diagnostics(x):
+        measured.append(x)
+        return condition_diagnostics(x)
+
     monkeypatch.setattr(scipy.linalg, "qr", counting)
+    monkeypatch.setattr(dense, "condition_diagnostics", counting_diagnostics)
+    monkeypatch.setattr(bounds, "condition_diagnostics", counting_diagnostics)
     rows = run_sweep(cfg)
     assert all(row["error"] == "" for row in rows)
     assert sum(factored) == 1
+    assert len(measured) == 4
+
+    p = generate_problem(cfg.m, cfg.n, cfg.kappa, 1e-6, mix64(cfg.seed, 0, 0))
+    system = dense._check_system(p.a, p.b, p.x_star)
+    pre, _, _ = prepare_preconditioner(system, seed=1)
+    other, _, _ = prepare_preconditioner(system, seed=2)
+    first = bounds.measure_problem(system, pre)
+    measured.clear()
+    assert bounds.measure_problem(system, pre) == first
+    assert measured == []
+    again = bounds.measure_problem(system, other)
+    assert len(measured) == 2 and measured[0] is other.r_s
+    assert again.kappa_rs == condition_diagnostics(
+        other.r_s).two_norm_condition != first.kappa_rs
 
 
 def test_sweep_point_runs_one_qr_on_m_rows(monkeypatch):

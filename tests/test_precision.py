@@ -120,6 +120,12 @@ def test_qr_in_precision_prescale_is_exact():
     for k in (3, -5):
         scaled = qr_in_precision(a * 2.0 ** k, BINARY16)
         assert np.array_equal(scaled, base * 2.0 ** k)
+    # and for subnormal input, whose scale 2^1029 is past the float range
+    tiny = 1e-310 * np.eye(6, 2)
+    r = qr_in_precision(tiny, BINARY16)
+    assert np.isfinite(r).all() and r.any()
+    assert np.array_equal(r * 2.0 ** 1000,
+                          qr_in_precision(tiny * 2.0 ** 1000, BINARY16))
 
 
 def test_estimate_identity_oracle():
@@ -248,6 +254,9 @@ def test_qr_in_precision_raises_rank_deficient():
     for level in (BINARY16, BINARY32, BINARY64):
         with pytest.raises(RankDeficient):
             qr_in_precision(zero_column, level)
+    # two equal columns of the smallest subnormal
+    with pytest.raises(RankDeficient):
+        qr_in_precision(np.full((6, 2), 5e-324), BINARY16)
 
 
 def test_qr_in_precision_half_matches_pinned_sketch_factors():

@@ -244,6 +244,14 @@ def test_overflowing_normal_equations_raise_overflow():
         solve_normal(a, b)
     with pytest.raises(Overflow, match="^nne system has non-finite entries"):
         solve_notnormal(a, a, b)
+    # R_s's diagonal reaches 2.2e-312 at this scale, so A_p overflows
+    p = generate_problem(200, 10, 1e12, 1e-6, seed=1)
+    a, b = p.a * 1e-300, p.b * 1e-300
+    for method in ("pne", "hpne"):
+        for precision in ("auto", "double", "single"):
+            with pytest.raises(Overflow, match=f"^{method} system has "
+                               "non-finite entries"):
+                algorithm1_pipeline(a, b, method, precision)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
