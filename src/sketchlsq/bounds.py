@@ -7,14 +7,15 @@ fills the record from an actual problem/solution pair, using the LAPACK
 singular values of condition_diagnostics for every norm and condition
 number (never the bound being tested), so the sweep comparisons are honest.
 The solvers compute no diagnostics; measure_problem, which
-measure_bound_inputs runs after a solve, is the one place that measures
-kappa(A), kappa(R_s) and kappa(A_p), and the checked system
-(dense.LinearSystem) keeps what it measures.  It reads kappa(A_p) and
-norm(A_p) from the n x n matrix R_A R_s^-1, where R_A is the R of the
-system's one QR of A: A_p = A R_s^-1 = Q (R_A R_s^-1), so the two have the
-same singular values in exact arithmetic, and the m x n A_p is never
-factored (the identity of randomized Cholesky QR: Balabanov 2022; Higgins,
-Szyld, Boman & Yamazaki 2023).
+measure_bound_inputs runs after a solve, is the one place that takes the
+SVDs of A, R_s and A_p.  It returns the ConditionDiagnostics that the
+checked system (dense.LinearSystem) keeps, and measure_bound_inputs reads
+every norm and condition number from them.  A_p's SVD is that of the
+n x n matrix R_A R_s^-1, where R_A is the R of the system's one QR of A:
+A_p = A R_s^-1 = Q (R_A R_s^-1), so the two have the same singular values
+in exact arithmetic, and the m x n A_p is never factored (the identity of
+randomized Cholesky QR: Balabanov 2022; Higgins, Szyld, Boman & Yamazaki
+2023).
 
 Conventions: u1 is the roundoff of the preconditioner precision, u2 of the
 working precision; residual ratios are norm(residual) / (norm(matrix) *
@@ -160,24 +161,6 @@ def bound_notnormal(inputs, kappa_bta, nu_b):
     return kappa_bta * nu_b * inner
 
 
-@dataclass(frozen=True)
-class ProblemDiagnostics:
-    """Norms and condition numbers that depend only on (a, r_s), not on x_hat.
-
-    Measurements alone, from the checked system's record, which keeps them
-    for every bound measurement on that system.  norm_ap and kappa_ap are
-    those of R_A R_s^-1 (R_A the R of A's QR), which has A_p's singular
-    values.
-    """
-
-    norm_a: float
-    kappa_a: float
-    norm_rs: float | None = None
-    kappa_rs: float | None = None
-    norm_ap: float | None = None
-    kappa_ap: float | None = None
-
-
 def _system_of(problem):
     # a checked dense.LinearSystem as it is, a LeastSquaresProblem checked
     return problem if isinstance(problem, LinearSystem) else _check_system(
@@ -185,32 +168,25 @@ def _system_of(problem):
 
 
 def measure_problem(problem, pre=None):
-    """Measure the solution-independent diagnostics for bound evaluation.
+    """The system's condition diagnostics of A, R_s and A_p.
 
     problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A is read, not formed again; the system keeps the
-    SVDs of A and (for the last R_s) of R_s and R_A R_s^-1 taken here.
-    kappa(A_p) and norm(A_p) are those of the n x n R_A R_s^-1, formed by
-    one triangular solve with the shared R_A whatever the shape; the m x n
-    A_p is not read.
+    whose shared R of A is read, not formed again.  Returns the
+    ConditionDiagnostics (diag_a, diag_rs, diag_ap) that the system keeps,
+    diag_a once per system and the other two for the last R_s; with no
+    preconditioner, (diag_a, None, None).  diag_ap is that of the n x n
+    R_A R_s^-1, formed by one triangular solve with the shared R_A
+    whatever the shape; the m x n A_p is not read.
     """
     system = _system_of(problem)
     diag_a = system.diagnostics()
     if pre is None:
-        return ProblemDiagnostics(norm_a=diag_a.two_norm,
-                                  kappa_a=diag_a.two_norm_condition)
+        return diag_a, None, None
     diag_rs = system._shared(
         "diag_rs", lambda: condition_diagnostics(pre.r_s), pre.r_s)
     diag_ap = system._shared("diag_ap", lambda: condition_diagnostics(
         triangular_solve(pre.r_s, system.r.T, transposed=True).T), pre.r_s)
-    return ProblemDiagnostics(
-        norm_a=diag_a.two_norm,
-        kappa_a=diag_a.two_norm_condition,
-        norm_rs=diag_rs.two_norm,
-        kappa_rs=diag_rs.two_norm_condition,
-        norm_ap=diag_ap.two_norm,
-        kappa_ap=diag_ap.two_norm_condition,
-    )
+    return diag_a, diag_rs, diag_ap
 
 
 def measure_bound_inputs(problem, report):
@@ -222,9 +198,9 @@ def measure_bound_inputs(problem, report):
     ----------
     problem : LeastSquaresProblem or dense.LinearSystem
         A LeastSquaresProblem is checked into a system once.  The system's
-        shared A_p, (for hpne) A_p^T A and measure_problem's measurements
-        are read: on the solve's own system, what it and earlier diagnoses
-        formed.
+        shared A_p, (for hpne) A_p^T A and the ConditionDiagnostics that
+        measure_problem returns are read: on the solve's own system, what
+        it and earlier diagnoses formed.
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap, its
         residual norm and its preconditioner; with a preconditioner, the
@@ -241,14 +217,14 @@ def measure_bound_inputs(problem, report):
     pre = report.preconditioner
     u2 = BINARY64.bound_roundoff
     u1 = pre.computed_in.bound_roundoff if pre is not None else u2
-    diagnostics = measure_problem(system, pre)
+    diag_a, diag_rs, diag_ap = measure_problem(system, pre)
     x_hat = np.asarray(report.x_hat, dtype=np.float64)
     # BLAS nrm2 scales as it sums, so these norms stay finite for A, b
     # near the binary64 range
     norm_x = float(linalg.norm(x_hat))
-    res_ratio_a = report.residual_norm / (diagnostics.norm_a * norm_x)
+    res_ratio_a = report.residual_norm / (diag_a.two_norm * norm_x)
     inputs = BoundInputs(
-        kappa_a=diagnostics.kappa_a,
+        kappa_a=diag_a.two_norm_condition,
         u1=u1,
         u2=u2,
         eps_a=u2,
@@ -262,16 +238,16 @@ def measure_bound_inputs(problem, report):
     r_p = a_p @ y - system.b
     inputs = replace(
         inputs,
-        kappa_rs=diagnostics.kappa_rs,
-        kappa_ap=diagnostics.kappa_ap,
-        nu_pne=norm_y / (diagnostics.norm_rs * norm_x),
-        res_ratio_ap=float(linalg.norm(r_p)) / (diagnostics.norm_ap * norm_y),
+        kappa_rs=diag_rs.two_norm_condition,
+        kappa_ap=diag_ap.two_norm_condition,
+        nu_pne=norm_y / (diag_rs.two_norm * norm_x),
+        res_ratio_ap=float(linalg.norm(r_p)) / (diag_ap.two_norm * norm_y),
     )
     if report.method != "hpne":
         return inputs
-    diag_apta = condition_diagnostics(system.apta(a_p))
+    diag_apta = condition_diagnostics(system.apta(pre.r_s))
     return replace(
         inputs,
         kappa_apta=diag_apta.two_norm_condition,
-        nu_hpne=diagnostics.norm_ap * diagnostics.norm_a / diag_apta.two_norm,
+        nu_hpne=diag_ap.two_norm * diag_a.two_norm / diag_apta.two_norm,
     )

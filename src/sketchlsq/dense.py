@@ -83,8 +83,10 @@ def _as_matrix(a, name="a"):
     return arr
 
 
-# Arrays smaller than this round to binary16 by numpy's float16 cast; larger
-# ones by the carry trick, whose eleven ufunc calls cost more on small arrays.
+# Below this many elements numpy float16 beats float32 plus _round_half,
+# whose fixed cost is about a dozen ufunc calls: _round_half casts smaller
+# arrays, and the kernel's tree levels and blocks compute in float16 from
+# there on.
 _ROUND_HALF_MIN_SIZE = 1024
 _FLOAT32_SIGN = np.uint32(0x80000000)
 _FLOAT32_MAGNITUDE = np.uint32(0x7FFFFFFF)
@@ -134,13 +136,6 @@ def _unrounded(x, spare=None):
     return x
 
 
-# Tree levels and blocks below this many elements compute in numpy float16,
-# whose every operation rounds once from float32 to binary16; larger ones
-# in float32, rounded by _round_half, whose fixed cost is about a dozen
-# ufunc calls.
-_FLOAT16_MAX_SIZE = 1024
-
-
 def _pairwise_tree(x):
     """Pairwise binary16 sums over axis 0 of x, and the path to node 0.
 
@@ -158,7 +153,7 @@ def _pairwise_tree(x):
         siblings.append(x[1])
         half, odd = divmod(x.shape[0], 2)
         large = (x.dtype == np.float32
-                 and half * x.shape[1] >= _FLOAT16_MAX_SIZE)
+                 and half * x.shape[1] >= _ROUND_HALF_MIN_SIZE)
         if large:
             y = np.empty((half + odd, x.shape[1]), np.float32)
             _round_half(np.add(x[0:-1:2], x[1::2], out=y[:half]))
@@ -212,7 +207,7 @@ def householder_reduce(a):
     r = np.zeros((n, n), np.float16, order="F")
     block = np.asarray(a, dtype=np.float16).astype(np.float32)
     for j in range(n):
-        if block.dtype == np.float32 and block.size < _FLOAT16_MAX_SIZE:
+        if block.dtype == np.float32 and block.size < _ROUND_HALF_MIN_SIZE:
             block = block.astype(np.float16)
         rounding = _round_half if block.dtype == np.float32 else _unrounded
         x = block[:, :1]
@@ -547,11 +542,12 @@ class LinearSystem:
     a that several solves and diagnostics read are formed once, on first
     use, by the expression each reader used on its own, so with the same bits:
     gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
-    reflectors), a_p(r_s) (a r_s^{-1}) and apta(a_p) (a_p^T a), each kept
-    for its last argument, norm_a (Frobenius), and the diagnosis's SVDs:
-    diagnostics() (of a) and, for bounds.measure_problem, those of the
-    last r_s and r r_s^{-1}.  cost(*names) is the time their forming took,
-    which a solve that reads them counts.
+    reflectors), norm_a (Frobenius), and the diagnosis's SVDs: diagnostics()
+    (of a) and, for bounds.measure_problem, those of r_s and r r_s^{-1}.
+    Every preconditioned product is kept for the last r_s it was asked
+    for: a_p(r_s) (a r_s^{-1}), apta(r_s) (a_p(r_s)^T a) and those SVDs.
+    cost(*names) is the time their forming took, which a solve that reads
+    them counts.
     A LinearSystem stands in for its a where a function takes A, and so
     has a's shape and dtype.
     """
@@ -609,8 +605,8 @@ class LinearSystem:
         return self._shared("a_p", lambda: np.ascontiguousarray(
             triangular_solve(r_s, self.a.T, transposed=True).T), r_s)
 
-    def apta(self, a_p):
-        return self._shared("apta", lambda: a_p.T @ self.a, a_p)
+    def apta(self, r_s):
+        return self._shared("apta", lambda: self.a_p(r_s).T @ self.a, r_s)
 
     def diagnostics(self):
         """condition_diagnostics(a), from the shared R where it takes one."""

@@ -6,8 +6,9 @@ and every applicable perturbation bound, and emits rows with a fixed CSV
 schema.  Failures land in the row's error column; the sweep never aborts.
 A point's preconditioner comes from one prepare_preconditioner call, the
 step algorithm1_pipeline makes, so its precision, build and escalation are
-the pipeline's; each row diagnoses after its solve by sketchlsq solve's
-call, measure_bound_inputs(system, report).  Each point checks A once into
+the pipeline's, and the preconditioner records them; each row diagnoses
+after its solve by sketchlsq solve's call,
+measure_bound_inputs(system, report).  Each point checks A once into
 a dense.LinearSystem, whose QR of A (one geqrf for qr, sne, kappa(A) and,
 by its R, kappa(A_p)), A^T A, A^T b, A_p, A_p^T A and condition numbers
 every method and diagnosis of the point shares: the point factors no other
@@ -22,7 +23,6 @@ round differently.
 import csv
 import math
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +150,7 @@ def _sweep_point(config, grid_index, rho, trial):
     pre_error = None
     if any(METHODS[method].preconditioned for method in config.methods):
         try:
-            pre, _, _ = prepare_preconditioner(
+            pre = prepare_preconditioner(
                 system, config.d_factor, config.transform, config.precision,
                 sub_seed)
         except (SketchLsqError, ValueError) as exc:
@@ -217,9 +217,11 @@ def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
     The pipeline runs with its default sketch (DCT-II, d = 3n).
 
     Accuracy columns are deterministic for a fixed seed; timings are
-    reported as found.  speedup_vs_qr is the median time of the qr
-    baseline (LAPACK QR plus a triangular solve) over the method's median
-    time; no threshold is asserted.
+    reported as found.  median_wall_ms is the median of the reports'
+    wall_ms, so like wall_ms it excludes the check of the inputs.
+    speedup_vs_qr is the median time of the qr baseline (LAPACK QR plus a
+    triangular solve) over the method's median time; no threshold is
+    asserted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,18 +240,13 @@ def run_benchmark(m=2000, n_list=(25, 50, 100), kappa=1e6, rho=1e-6,
         }
         medians = {}
         for name, run in runs.items():
-            times = []
-            rel_error = None
-            for _ in range(trials):
-                t0 = time.perf_counter()
-                report = run()
-                times.append((time.perf_counter() - t0) * 1e3)
-                rel_error = report.relative_error
-            medians[name] = statistics.median(times)
+            reports = [run() for _ in range(trials)]
+            medians[name] = statistics.median(r.wall_ms for r in reports)
             rows.append({
                 "method": name, "m": m, "n": n, "kappa": kappa,
                 "trials": trials, "median_wall_ms": medians[name],
-                "rel_error": rel_error, "speedup_vs_qr": None,
+                "rel_error": reports[-1].relative_error,
+                "speedup_vs_qr": None,
             })
         for row in rows[-3:]:
             row["speedup_vs_qr"] = medians["qr"] / medians[row["method"]]

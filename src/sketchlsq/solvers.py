@@ -8,6 +8,9 @@ x = R_s^{-1} y; half-preconditioned normal equations (hpne) solve the
 nonsymmetric system A_p^T A x = A_p^T b by LU with partial pivoting.
 Unpreconditioned baselines (QR, normal equations, seminormal equations)
 and the two-sided generalization B^T A x = B^T b round out the family.
+prepare_preconditioner is the one step that chooses the precision and
+builds R_s; the Preconditioner it returns records that choice, so a
+report of any solve that uses it carries the decision and escalation.
 
 Every function here that takes A also takes a dense.LinearSystem in its
 place (a solve then takes that system's own b and x_star): its A was
@@ -56,17 +59,22 @@ from .sketch import DCT2, apply_sketch, make_sketch
 
 @dataclass
 class Preconditioner:
-    """Promoted triangular preconditioner factor.
+    """Promoted triangular preconditioner factor, and how it was chosen.
 
     computed_in is the precision the sketch QR ran in; sketch_descriptor
-    holds the four-field dict that reconstructs the sketch operator.  The
-    condition numbers kappa(R_s) and kappa(A_p) are not part of the solve;
-    bounds.measure_problem measures them when a caller asks.
+    holds the four-field dict that reconstructs the sketch operator.
+    prepare_preconditioner sets decision (decide_precision's result when
+    it chose the precision, else None) and escalated_from (the precision
+    whose build failed, or None); build_preconditioner leaves both None.
+    The condition numbers kappa(R_s) and kappa(A_p) are not part of the
+    solve; bounds.measure_problem measures them when a caller asks.
     """
 
     r_s: np.ndarray
     computed_in: PrecisionLevel
     sketch_descriptor: dict | None = None
+    decision: PrecisionDecision | None = None
+    escalated_from: PrecisionLevel | None = None
 
 
 @dataclass
@@ -78,15 +86,17 @@ class SolveReport:
     spectral norm instead, which they measure separately.
     relative_residual is 0.0 whenever the residual is exactly zero, as
     for b = 0.  relative_error is None when no reference solution was
-    supplied.  wall_ms covers the solver call, including preconditioner
-    construction when the solver built one itself, and the products of A
-    in the system's record that the method reads (the QR of A for qr and
-    sne, A^T A for ne, A^T b for ne and sne, A_p^T A for hpne) at the time
-    they took to form, even when another solve or a diagnostic formed them
-    first; a preconditioner passed in, and an A_p formed before the call,
-    are not counted.  lu_fallback is True
-    when pne's Cholesky factorization of the preconditioned Gram matrix
-    failed and LU solved that system instead.
+    supplied.  wall_ms covers the solver call after the check of its
+    inputs, including preconditioner construction when the solver built
+    one itself, and the products of A in the system's record that the
+    method reads (the QR of A for qr and sne, A^T A for ne, A^T b for ne
+    and sne, A_p^T A for hpne) at the time they took to form, even when
+    another solve or a diagnostic formed them first; a preconditioner
+    passed in, and an A_p formed before the call, are not counted.
+    lu_fallback is True when pne's Cholesky factorization of the
+    preconditioned Gram matrix failed and LU solved that system instead.
+    precision_decision and escalated_from read the preconditioner's
+    record of how it was chosen.
     """
 
     method: str
@@ -96,9 +106,17 @@ class SolveReport:
     relative_error: float | None
     wall_ms: float
     preconditioner: Preconditioner | None = None
-    precision_decision: PrecisionDecision | None = None
-    escalated_from: PrecisionLevel | None = None
     lu_fallback: bool = False
+
+    @property
+    def precision_decision(self):
+        pre = self.preconditioner
+        return None if pre is None else pre.decision
+
+    @property
+    def escalated_from(self):
+        pre = self.preconditioner
+        return None if pre is None else pre.escalated_from
 
 
 def _silent_overflow():
@@ -288,7 +306,7 @@ def solve_hpne(a, b, pre, x_star=None):
     t0 = time.perf_counter() - system.cost("apta")
     a_p = precondition_matrix(system, pre)
     with _silent_overflow():
-        x = lu_solve(*_finite_system("hpne", system.apta(a_p),
+        x = lu_solve(*_finite_system("hpne", system.apta(pre.r_s),
                                      a_p.T @ system.b))
     return _report("hpne", system, x, t0, preconditioner=pre)
 
@@ -311,9 +329,9 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2,
 
     Returns
     -------
-    (pre, decision, escalated_from) : tuple
-        decision is decide_precision's result for "auto", else None;
-        escalated_from is the precision that failed, or None.
+    Preconditioner
+        Its decision is decide_precision's result for "auto", else None;
+        its escalated_from is the precision that failed, or None.
     """
     decision = decide_precision(a) if precision == "auto" else None
     level = (level_from_name(precision) if decision is None
@@ -323,7 +341,8 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2,
         try:
             pre = build_preconditioner(a, d_factor, transform, level, seed)
             precondition_matrix(a, pre)
-            return pre, decision, escalated_from
+            pre.decision, pre.escalated_from = decision, escalated_from
+            return pre
         except (RankDeficient, Overflow):
             wider = next_higher(level)
             if escalated_from is not None or wider is None:
@@ -338,7 +357,9 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
 
     One prepare_preconditioner call chooses the precision (precision is
     "auto" or a precision name, as there), builds the preconditioner and
-    A_p, escalating once on failure; the method then solves in binary64.
+    A_p, escalating once on failure; the method then solves in binary64,
+    and its report reads the decision and escalation from the
+    preconditioner.
 
     Parameters
     ----------
@@ -356,11 +377,8 @@ def algorithm1_pipeline(a, b, method="pne", precision="auto", d_factor=3.0,
     if spec is None or not spec.preconditioned:
         raise ValueError(f"pipeline method must be preconditioned, got {method!r}")
     t0 = time.perf_counter()
-    pre, decision, escalated_from = prepare_preconditioner(
-        system, d_factor, transform, precision, seed)
-    report = spec.solve(system, pre)
-    report.precision_decision = decision
-    report.escalated_from = escalated_from
+    report = spec.solve(system, prepare_preconditioner(
+        system, d_factor, transform, precision, seed))
     report.wall_ms = (time.perf_counter() - t0) * 1e3
     return report
 

@@ -41,8 +41,7 @@ def test_methods_agree_with_lapack_lstsq(kappa, rho):
         p = sq.generate_problem(1000, 30, kappa, rho, seed)
         x_ref = np.linalg.lstsq(p.a, p.b, rcond=None)[0]
         level = sq.decide_precision(p.a).selected
-        pre, _, _ = prepare_preconditioner(p.a, precision=level.name,
-                                           seed=seed)
+        pre = prepare_preconditioner(p.a, precision=level.name, seed=seed)
         a_p = sq.precondition_matrix(p.a, pre)
         got = {
             "qr": sq.solve_qr_baseline(p.a, p.b),

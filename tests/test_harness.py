@@ -27,7 +27,7 @@ from sketchlsq import (
 from sketchlsq import bounds, dense, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
 from sketchlsq.rng import mix64
-from sketchlsq.solvers import prepare_preconditioner
+from sketchlsq.solvers import METHODS, prepare_preconditioner
 
 
 def _small_config(**overrides):
@@ -107,8 +107,10 @@ def test_sweep_kappa_columns_measure_its_preconditioner():
     that the row's solve used, rebuilt here from the row's seed: kappa_ap
     is taken from R_A R_s^-1, where R_A is the R of A's QR.  With "auto"
     and with a forced binary16 point that escalates (the second pinned
-    sweep's first), the one preconditioner step returns decide_precision's
-    decision, and its escalation and R_s are the pipeline's and the row's."""
+    sweep's first), the one preconditioner step records decide_precision's
+    decision, and its escalation and R_s are the pipeline's and the row's.
+    A pne or hpne solve of that preconditioner outside the pipeline
+    reports the same decision and escalation."""
     cfg = _small_config(trials_per_point=1)
     for row in run_sweep(cfg):
         if row["method"] not in ("pne", "hpne"):
@@ -131,7 +133,7 @@ def test_sweep_kappa_columns_measure_its_preconditioner():
             p = generate_problem(cfg.m, cfg.n, cfg.kappa, row["rho"],
                                  row["seed"])
             system = dense._check_system(p.a, p.b, p.x_star)
-            pre, decision, escalated_from = prepare_preconditioner(
+            pre = prepare_preconditioner(
                 system, cfg.d_factor, cfg.transform, cfg.precision,
                 row["seed"])
             assert row["precision"] == pre.computed_in.name
@@ -141,13 +143,13 @@ def test_sweep_kappa_columns_measure_its_preconditioner():
                 p.a, p.b, row["method"], cfg.precision, cfg.d_factor,
                 cfg.transform, row["seed"], p.x_star)
             assert report.preconditioner.r_s.tobytes() == pre.r_s.tobytes()
-            assert report.escalated_from == escalated_from
-            assert report.precision_decision == decision
-            if cfg.precision == "auto":
-                assert decision == precision.decide_precision(p.a)
-            else:
-                assert decision is None
-    assert escalated_from is BINARY16 and pre.computed_in is BINARY32
+            solved = METHODS[row["method"]].solve(system, pre)
+            decision = (precision.decide_precision(p.a)
+                        if cfg.precision == "auto" else None)
+            for got in (report, solved):
+                assert got.escalated_from == pre.escalated_from
+                assert got.precision_decision == pre.decision == decision
+    assert solved.escalated_from is BINARY16 and pre.computed_in is BINARY32
 
 
 def test_sweep_is_deterministic_up_to_timing():
@@ -267,16 +269,16 @@ def test_sweep_point_factors_a_once(monkeypatch):
 
     p = generate_problem(cfg.m, cfg.n, cfg.kappa, 1e-6, mix64(cfg.seed, 0, 0))
     system = dense._check_system(p.a, p.b, p.x_star)
-    pre, _, _ = prepare_preconditioner(system, seed=1)
-    other, _, _ = prepare_preconditioner(system, seed=2)
+    pre = prepare_preconditioner(system, seed=1)
+    other = prepare_preconditioner(system, seed=2)
     first = bounds.measure_problem(system, pre)
     measured.clear()
     assert bounds.measure_problem(system, pre) == first
     assert measured == []
     again = bounds.measure_problem(system, other)
     assert len(measured) == 2 and measured[0] is other.r_s
-    assert again.kappa_rs == condition_diagnostics(
-        other.r_s).two_norm_condition != first.kappa_rs
+    assert again[1].two_norm_condition == condition_diagnostics(
+        other.r_s).two_norm_condition != first[1].two_norm_condition
 
 
 def test_sweep_point_runs_one_qr_on_m_rows(monkeypatch):
