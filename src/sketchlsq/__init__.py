@@ -75,6 +75,7 @@ from .solvers import (
     algorithm1_pipeline,
     build_preconditioner,
     precondition_matrix,
+    prepare_preconditioner,
     solve_hpne,
     solve_normal,
     solve_notnormal,

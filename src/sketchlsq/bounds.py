@@ -7,11 +7,10 @@ fills the record from an actual problem/solution pair, using the LAPACK
 singular values of condition_diagnostics for every norm and condition
 number (never the bound being tested), so the sweep comparisons are honest.
 The solvers compute no diagnostics; measure_problem, which
-measure_bound_inputs runs after a solve, is the one place that takes the
-SVDs of A, R_s and A_p.  It returns the ConditionDiagnostics that the
-checked system (dense.LinearSystem) keeps, and measure_bound_inputs reads
-every norm and condition number from them.  A_p's SVD is that of the
-n x n matrix R_A R_s^-1, where R_A is the R of the system's one QR of A:
+measure_bound_inputs runs after a solve, returns the SVDs of A, R_s and
+A_p that the checked system keeps (dense.LinearSystem, whose docstring
+states what it shares and keys by R_s).  A_p's SVD is that of the n x n
+matrix R_A R_s^-1, where R_A is the R of the system's one QR of A:
 A_p = A R_s^-1 = Q (R_A R_s^-1), so the two have the same singular values
 in exact arithmetic, and the m x n A_p is never factored (the identity of
 randomized Cholesky QR: Balabanov 2022; Higgins, Szyld, Boman & Yamazaki
@@ -29,12 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .dense import (
-    LinearSystem,
-    _check_system,
-    condition_diagnostics,
-    triangular_solve,
-)
+from .dense import LinearSystem, _check_system, condition_diagnostics
 from .errors import MissingField, PoleAtOne
 from .precision import BINARY64
 
@@ -168,25 +162,18 @@ def _system_of(problem):
 
 
 def measure_problem(problem, pre=None):
-    """The system's condition diagnostics of A, R_s and A_p.
+    """The system's condition diagnostics (diag_a, diag_rs, diag_ap).
 
-    problem is a LeastSquaresProblem, or a validated dense.LinearSystem,
-    whose shared R of A is read, not formed again.  Returns the
-    ConditionDiagnostics (diag_a, diag_rs, diag_ap) that the system keeps,
-    diag_a once per system and the other two for the last R_s; with no
-    preconditioner, (diag_a, None, None).  diag_ap is that of the n x n
-    R_A R_s^-1, formed by one triangular solve with the shared R_A
-    whatever the shape; the m x n A_p is not read.
+    problem is a LeastSquaresProblem, or a checked dense.LinearSystem,
+    which keeps them: diag_a, and diag_rs and diag_ap for pre's R_s
+    (dense.LinearSystem.diag_rs and diag_ap).  Without a preconditioner,
+    (diag_a, None, None).
     """
     system = _system_of(problem)
-    diag_a = system.diagnostics()
     if pre is None:
-        return diag_a, None, None
-    diag_rs = system._shared(
-        "diag_rs", lambda: condition_diagnostics(pre.r_s), pre.r_s)
-    diag_ap = system._shared("diag_ap", lambda: condition_diagnostics(
-        triangular_solve(pre.r_s, system.r.T, transposed=True).T), pre.r_s)
-    return diag_a, diag_rs, diag_ap
+        return system.diagnostics(), None, None
+    return (system.diagnostics(), system.diag_rs(pre.r_s),
+            system.diag_ap(pre.r_s))
 
 
 def measure_bound_inputs(problem, report):
@@ -197,10 +184,9 @@ def measure_bound_inputs(problem, report):
     Parameters
     ----------
     problem : LeastSquaresProblem or dense.LinearSystem
-        A LeastSquaresProblem is checked into a system once.  The system's
-        shared A_p, (for hpne) A_p^T A and the ConditionDiagnostics that
-        measure_problem returns are read: on the solve's own system, what
-        it and earlier diagnoses formed.
+        A LeastSquaresProblem is checked into a system once.  A system's
+        shared products (A_p, A_p^T A for hpne, the SVDs) are read, not
+        formed again.
     report : SolveReport
         Supplies x_hat, the solution whose error the bounds cap, its
         residual norm and its preconditioner; with a preconditioner, the

@@ -531,25 +531,33 @@ def condition_diagnostics(a):
 
 
 class LinearSystem:
-    """A checked least-squares system min norm(a x - b).
+    """A checked least-squares system min norm(a x - b): the one record of
+    what the solves and diagnoses of one problem share.
 
     _check_system builds one per problem, with a made binary64, and checks
-    a, b and x_star (None when no reference solution is known) there alone;
-    the functions that take a matrix or a LinearSystem check no further.
-    One built directly vouches that its a is finite, in the dtype it has:
-    build_preconditioner wraps the demotion of a checked a (binary16, 32
-    or 64) in one, so the sketch does not check it again.  The products of
-    a that several solves and diagnostics read are formed once, on first
-    use, by the expression each reader used on its own, so with the same bits:
-    gram (a^T a), atb (a^T b), r and q (geqrf, then orgqr on its kept
-    reflectors), norm_a (Frobenius), and the diagnosis's SVDs: diagnostics()
-    (of a) and, for bounds.measure_problem, those of r_s and r r_s^{-1}.
-    Every preconditioned product is kept for the last r_s it was asked
-    for: a_p(r_s) (a r_s^{-1}), apta(r_s) (a_p(r_s)^T a) and those SVDs.
-    cost(*names) is the time their forming took, which a solve that reads
-    them counts.
-    A LinearSystem stands in for its a where a function takes A, and so
-    has a's shape and dtype.
+    a, b and x_star (None when no reference solution is known) there
+    alone; _as_system builds one around a checked binary64 matrix alone.
+    The functions that take a matrix or a LinearSystem check no further.
+    One built directly vouches that its a is finite, in its own dtype:
+    build_preconditioner wraps the demotion of a checked a in one, so the
+    sketch does not check it again.  A LinearSystem stands in for its a
+    where a function takes A, and so has a's shape and dtype.
+
+    Shared products are formed once, on first use, by the expression each
+    reader used on its own, so with the same bits: gram (a^T a), atb
+    (a^T b), r and q (geqrf, then orgqr on its reflectors), norm_a
+    (Frobenius) and diagnostics() (the SVD of a).  Those keyed by R_s are
+    kept for the last r_s each was asked for: a_p(r_s) (a r_s^{-1}),
+    apta(r_s) (a_p^T a), diag_rs(r_s) (the SVD of r_s) and diag_ap(r_s)
+    (that of the n x n r r_s^{-1}, which has a_p's singular values).
+
+    cost(*names) is the time the named products took to form.  A solve's
+    wall_ms covers its call after the check of its inputs, plus each
+    shared product it reads at the time it took to form, whoever formed it
+    first: norm_a for every method, the QR for qr and sne, gram for ne,
+    atb for ne and sne, apta for hpne.  A preconditioner passed in, and an
+    A_p formed before the call, are not counted: they belong to
+    prepare_preconditioner's step, which the pipeline's wall_ms covers.
     """
 
     def __init__(self, a, b=None, x_star=None):
@@ -614,10 +622,25 @@ class LinearSystem:
         return self._shared("diagnostics", lambda: condition_diagnostics(
             self.r if m >= 11 * n // 6 else self.a))
 
+    def diag_rs(self, r_s):
+        return self._shared("diag_rs", lambda: condition_diagnostics(r_s),
+                            r_s)
+
+    def diag_ap(self, r_s):
+        return self._shared("diag_ap", lambda: condition_diagnostics(
+            triangular_solve(r_s, self.r.T, transposed=True).T), r_s)
+
 
 def _matrix_of(a, check=_as_matrix):
     # The matrix of a LinearSystem as it is, else the matrix a after check.
     return a.a if isinstance(a, LinearSystem) else check(a)
+
+
+def _as_system(a, check=_as_matrix):
+    # A LinearSystem as it is, else one around the matrix a after check,
+    # made binary64.
+    return a if isinstance(a, LinearSystem) else LinearSystem(
+        check(a).astype(np.float64, copy=False))
 
 
 def _check_system(a, b, x_star=None):

@@ -9,14 +9,12 @@ step algorithm1_pipeline makes, so its precision, build and escalation are
 the pipeline's, and the preconditioner records them; each row diagnoses
 after its solve by sketchlsq solve's call,
 measure_bound_inputs(system, report).  Each point checks A once into
-a dense.LinearSystem, whose QR of A (one geqrf for qr, sne, kappa(A) and,
-by its R, kappa(A_p)), A^T A, A^T b, A_p, A_p^T A and condition numbers
-every method and diagnosis of the point shares: the point factors no other
-matrix with A's m rows.  A row's wall_ms counts the products its method
-reads, at the time they took to form, but not the preconditioner or A_p.
-Rows are a deterministic function of the config, the BLAS build and its
-thread count, except for wall_ms: on another thread count the blocked
-geqrf (n >= 129) and the general products A_p^T A (from about m = 2000 on)
+a dense.LinearSystem, which every method and diagnosis of the point
+shares, and whose docstring states what a row's wall_ms counts; so the
+point runs one QR of A and factors no other matrix with A's m rows.  Rows
+are a deterministic function of the config, the BLAS build and its thread
+count, except for wall_ms: on another thread count the blocked geqrf
+(n >= 129) and the general products A_p^T A (from about m = 2000 on)
 round differently.
 """
 
@@ -134,21 +132,15 @@ def _sweep_point(config, grid_index, rho, trial):
     base = _blank_row()
     base.update(m=config.m, n=config.n, kappa=config.kappa, rho=rho,
                 seed=sub_seed, trial=trial)
+    system = pre = point_error = pre_error = None
     try:
         problem = generate_problem(config.m, config.n, config.kappa, rho,
                                    sub_seed)
         system = _check_system(problem.a, problem.b, problem.x_star)
     except (SketchLsqError, ValueError) as exc:
-        rows = []
-        for method in config.methods:
-            row = dict(base)
-            row.update(method=method, error=f"{type(exc).__name__}: {exc}")
-            rows.append(row)
-        return rows
-
-    pre = None
-    pre_error = None
-    if any(METHODS[method].preconditioned for method in config.methods):
+        point_error = exc
+    if system is not None and any(METHODS[method].preconditioned
+                                  for method in config.methods):
         try:
             pre = prepare_preconditioner(
                 system, config.d_factor, config.transform, config.precision,
@@ -159,14 +151,13 @@ def _sweep_point(config, grid_index, rho, trial):
     rows = []
     for method in config.methods:
         spec = METHODS[method]
-        row = dict(base)
-        row["method"] = method
-        if spec.preconditioned:
+        row = dict(base, method=method)
+        if spec.preconditioned and system is not None:
             row["precision"] = "" if pre is None else pre.computed_in.name
             row["d"] = sketch_rows(config.d_factor, config.n)
         try:
-            if spec.preconditioned and pre_error is not None:
-                raise pre_error
+            if point_error or spec.preconditioned and pre_error:
+                raise point_error or pre_error
             report = spec.solve(system, pre)
             inputs = measure_bound_inputs(system, report)
             row["rel_error"] = report.relative_error

@@ -27,11 +27,10 @@ import numpy as np
 from scipy.linalg.lapack import dpocon
 
 from .dense import (
-    LinearSystem,
     cholesky_factor,
     householder_reduce,
     qr_r_factor,
-    _as_matrix,
+    _as_system,
     _tall_matrix,
 )
 from .errors import NotPositiveDefinite, Overflow, RankDeficient
@@ -171,8 +170,7 @@ def estimate_log10_condition(a):
         overflowed is True when any intermediate is non-finite, rcond is
         zero or the Cholesky breaks down; kappa0 is NaN in that case.
     """
-    system = a if isinstance(a, LinearSystem) else LinearSystem(
-        _as_matrix(a).astype(np.float64, copy=False))
+    system = _as_system(a)
     n = system.a.shape[1]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         g = system.gram

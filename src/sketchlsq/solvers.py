@@ -13,9 +13,8 @@ builds R_s; the Preconditioner it returns records that choice, so a
 report of any solve that uses it carries the decision and escalation.
 
 Every function here that takes A also takes a dense.LinearSystem in its
-place (a solve then takes that system's own b and x_star): its A was
-checked once, and the products of A that several solves and diagnostics
-read are formed once, A_p = A R_s^{-1} among them.
+place (a solve then takes that system's own b and x_star); its docstring
+states what the system checks, shares and counts in wall_ms.
 """
 
 import math
@@ -32,6 +31,7 @@ from .dense import (
     lu_solve,
     triangular_solve,
     _as_matrix,
+    _as_system,
     LinearSystem,
     _check_diagonal,
     _check_system,
@@ -86,13 +86,7 @@ class SolveReport:
     spectral norm instead, which they measure separately.
     relative_residual is 0.0 whenever the residual is exactly zero, as
     for b = 0.  relative_error is None when no reference solution was
-    supplied.  wall_ms covers the solver call after the check of its
-    inputs, including preconditioner construction when the solver built
-    one itself, and the products of A in the system's record that the
-    method reads (the QR of A for qr and sne, A^T A for ne, A^T b for ne
-    and sne, A_p^T A for hpne) at the time they took to form, even when
-    another solve or a diagnostic formed them first; a preconditioner
-    passed in, and an A_p formed before the call, are not counted.
+    supplied.  What wall_ms counts is stated in dense.LinearSystem.
     lu_fallback is True when pne's Cholesky factorization of the
     preconditioned Gram matrix failed and LU solved that system instead.
     precision_decision and escalated_from read the preconditioner's
@@ -162,13 +156,13 @@ def _report(method, system, x_hat, t0, preconditioner=None, lu_fallback=False):
     )
 
 
-# A solve's clock starts early by the time that the products of A in its
-# system's record that it reads took to form, whoever formed them first.
+# A solve's clock starts early by the time that the shared products it
+# reads took to form, whoever formed them first; norm_a is _report's.
 
 def solve_qr_baseline(a, b, x_star=None):
     """Reference dense solve: LAPACK thin QR, then back substitution."""
     system = _check_system(a, b, x_star)
-    t0 = time.perf_counter() - system.cost("geqrf", "q")
+    t0 = time.perf_counter() - system.cost("geqrf", "q", "norm_a")
     with _silent_overflow():
         _check_diagonal(system.r, RankDeficient)
         x = triangular_solve(system.r, system.q.T @ system.b)
@@ -182,7 +176,7 @@ def solve_normal(a, b, x_star=None):
     rounding, which happens once the condition number nears 1e8.
     """
     system = _check_system(a, b, x_star)
-    t0 = time.perf_counter() - system.cost("gram", "atb")
+    t0 = time.perf_counter() - system.cost("gram", "atb", "norm_a")
     with _silent_overflow():
         x = cholesky_solve(*_finite_system("ne", system.gram, system.atb))
     return _report("ne", system, x, t0)
@@ -191,7 +185,7 @@ def solve_normal(a, b, x_star=None):
 def solve_seminormal(a, b, x_star=None):
     """Seminormal equations r^T r x = a^T b using only the R factor of a."""
     system = _check_system(a, b, x_star)
-    t0 = time.perf_counter() - system.cost("geqrf", "atb")
+    t0 = time.perf_counter() - system.cost("geqrf", "atb", "norm_a")
     with _silent_overflow():
         r = system.r
         _check_diagonal(r, RankDeficient)
@@ -212,7 +206,7 @@ def solve_notnormal(a, b_matrix, b, x_star=None):
     if b_matrix.shape != system.a.shape:
         raise DimensionMismatch(
             f"b_matrix shape {b_matrix.shape} != a shape {system.a.shape}")
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() - system.cost("norm_a")
     with _silent_overflow():
         x = lu_solve(*_finite_system("nne", b_matrix.T @ system.a,
                                      b_matrix.T @ system.b))
@@ -267,9 +261,7 @@ def precondition_matrix(a, pre):
     precision the factor was computed in.  A dense.LinearSystem forms it
     once per r_s.
     """
-    if not isinstance(a, LinearSystem):
-        a = LinearSystem(_as_matrix(a).astype(np.float64, copy=False))
-    return a.a_p(pre.r_s)
+    return _as_system(a).a_p(pre.r_s)
 
 
 def solve_pne(a, b, pre, x_star=None):
@@ -280,7 +272,7 @@ def solve_pne(a, b, pre, x_star=None):
     x from R_s x = y.  A_p is the system's own.
     """
     system = _check_system(a, b, x_star)
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() - system.cost("norm_a")
     a_p = precondition_matrix(system, pre)
     with _silent_overflow():
         g, rhs = _finite_system("pne", a_p.T @ a_p, a_p.T @ system.b)
@@ -303,7 +295,7 @@ def solve_hpne(a, b, pre, x_star=None):
     unknowns are already x.  A_p is the system's own.
     """
     system = _check_system(a, b, x_star)
-    t0 = time.perf_counter() - system.cost("apta")
+    t0 = time.perf_counter() - system.cost("apta", "norm_a")
     a_p = precondition_matrix(system, pre)
     with _silent_overflow():
         x = lu_solve(*_finite_system("hpne", system.apta(pre.r_s),
@@ -323,9 +315,8 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2,
     ill-conditioned input) or an Overflow (demotion, sketch or factor
     leaving the working range, as a binary16 sketch of entries near 4e4
     does) triggers exactly one retry at the next wider precision; a second
-    failure propagates.  When a is a dense.LinearSystem, A_p is kept in
-    its record, so the solves and diagnostics read it and a solve's
-    wall_ms does not count it.
+    failure propagates.  An array a is checked once, into the system
+    whose record keeps A_p (dense.LinearSystem).
 
     Returns
     -------
@@ -333,14 +324,16 @@ def prepare_preconditioner(a, d_factor=3.0, transform=DCT2,
         Its decision is decide_precision's result for "auto", else None;
         its escalated_from is the precision that failed, or None.
     """
-    decision = decide_precision(a) if precision == "auto" else None
+    system = _as_system(a, _tall_matrix)
+    decision = decide_precision(system) if precision == "auto" else None
     level = (level_from_name(precision) if decision is None
              else decision.selected)
     escalated_from = None
     while True:
         try:
-            pre = build_preconditioner(a, d_factor, transform, level, seed)
-            precondition_matrix(a, pre)
+            pre = build_preconditioner(system, d_factor, transform, level,
+                                       seed)
+            precondition_matrix(system, pre)
             pre.decision, pre.escalated_from = decision, escalated_from
             return pre
         except (RankDeficient, Overflow):

@@ -24,7 +24,7 @@ from sketchlsq import (
     run_sweep,
     triangular_solve,
 )
-from sketchlsq import bounds, dense, precision
+from sketchlsq import Overflow, bounds, dense, harness, precision
 from sketchlsq.harness import BENCH_COLUMNS, CSV_COLUMNS, write_csv
 from sketchlsq.rng import mix64
 from sketchlsq.solvers import METHODS, prepare_preconditioner
@@ -329,6 +329,34 @@ def test_sweep_survives_method_failure():
     assert by_method["ne"]["rel_error"] == ""
     assert by_method["qr"]["error"] == ""
     assert by_method["qr"]["rel_error"] <= 1e-4
+
+
+def test_sweep_point_failures_land_in_their_rows(monkeypatch):
+    """A point whose generation fails gives every method's row that error,
+    with precision and d blank; a failed preconditioner step fails the
+    pne and hpne rows alone, which still name d."""
+    cfg = _small_config(methods=("qr", "pne", "hpne"), trials_per_point=1,
+                        rho_grid=rho_grid(1e-8, 1e-8, 1))
+
+    def failing(*args, **kwargs):
+        raise Overflow("out of range")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "generate_problem", failing)
+        rows = run_sweep(cfg)
+    assert [row["method"] for row in rows] == ["qr", "pne", "hpne"]
+    for row in rows:
+        assert list(row) == CSV_COLUMNS
+        assert row["error"] == "Overflow: out of range"
+        assert row["precision"] == row["d"] == row["rel_error"] == ""
+        assert row["seed"] == mix64(cfg.seed, 0, 0)
+    monkeypatch.setattr(harness, "prepare_preconditioner", failing)
+    by_method = {row["method"]: row for row in run_sweep(cfg)}
+    assert by_method["qr"]["error"] == ""
+    for method in ("pne", "hpne"):
+        row = by_method[method]
+        assert row["error"] == "Overflow: out of range"
+        assert (row["precision"], row["d"]) == ("", 30)
 
 
 def test_write_csv_roundtrips_schema(tmp_path):

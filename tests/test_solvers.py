@@ -24,6 +24,7 @@ from sketchlsq import (
     solve_qr_baseline,
     solve_seminormal,
 )
+import sketchlsq as sq
 from sketchlsq import dense, solvers
 from sketchlsq.solvers import prepare_preconditioner
 
@@ -389,6 +390,44 @@ def test_pipeline_checks_a_for_finiteness_once(monkeypatch):
         build_preconditioner(np.where(p.a > 0, np.nan, p.a))
 
 
+def test_prepare_preconditioner_is_exported():
+    assert sq.prepare_preconditioner is prepare_preconditioner
+
+
+def test_prepare_preconditioner_checks_an_array_once(monkeypatch):
+    """prepare_preconditioner on an array makes one finiteness pass over
+    it, whatever the step runs (estimate, build, escalation, A_p), and
+    gives the R_s, decision and escalation of the same step on the
+    checked system."""
+    isfinite = np.isfinite
+    passes = []
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == (300, 20):
+            passes.append(np.asarray(x).dtype)
+        return isfinite(x, *args, **kwargs)
+
+    for kappa, precision, used, origin in (
+            (1e2, "auto", BINARY16, None), (1e6, "auto", BINARY32, None),
+            (1e6, "half", BINARY32, BINARY16), (1e6, "double", BINARY64,
+                                                None)):
+        p = generate_problem(300, 20, kappa, 1e-6, seed=3)
+        expected = prepare_preconditioner(
+            dense._check_system(p.a, p.b), transform="wht",
+            precision=precision, seed=3)
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "isfinite", counting)
+            pre = prepare_preconditioner(p.a, transform="wht",
+                                         precision=precision, seed=3)
+        assert passes == [np.float64], (kappa, precision)
+        assert (pre.computed_in, pre.escalated_from) == (used, origin)
+        assert pre.escalated_from is expected.escalated_from
+        assert pre.r_s.tobytes() == expected.r_s.tobytes()
+        assert pre.decision == expected.decision
+        assert (pre.decision is None) == (precision != "auto")
+
+
 def test_shared_products_keep_their_bits_and_their_cost():
     """A LinearSystem's shared products are the standalone expressions, bit
     for bit, and a row that reads one counts the time it took to form."""
@@ -414,6 +453,25 @@ def test_shared_products_keep_their_bits_and_their_cost():
         pre = build_preconditioner(p.a, seed=seed)
         a_p = precondition_matrix(p.a, pre)
         assert np.array_equal(system.apta(pre.r_s), a_p.T @ p.a)
+
+
+def test_every_solve_counts_the_frobenius_norm_it_reads():
+    """_report reads the shared norm_a; each method's wall_ms counts the
+    time it took to form, like the other shared products, even when an
+    earlier solve formed it."""
+    p = generate_problem(400, 16, 1e4, 1e-6, seed=2)
+    pre = build_preconditioner(p.a, seed=2)
+    solves = {name: (lambda s, spec=spec: spec.solve(s, pre))
+              for name, spec in solvers.METHODS.items()}
+    solves["nne"] = lambda s: solve_notnormal(s, p.a, s.b, s.x_star)
+    for method, solve in solves.items():
+        system = dense._check_system(p.a, p.b, p.x_star)
+        norm_a = system.norm_a
+        system._made["norm_a"] = (norm_a, 5.0, None)  # a slow norm_a
+        report = solve(system)
+        assert report.method == method
+        assert report.wall_ms >= 5e3, method
+        assert system.norm_a is norm_a
 
 
 def test_shared_a_p_is_kept_per_factor():

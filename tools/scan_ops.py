@@ -9,7 +9,11 @@ ops 0..OPS-1 run and are checked, with no clock.  Per seed it prints each
 failing op with its check's reason (a raising op fails, as in run.py), then
 a sha256 over every op's checked output: a sweep op's rows without
 ``wall_ms``, or a solve report's x_hat, R_s, precision, escalation and
-precision decision.
+precision decision.  For ``bound_sweep`` it then prints each method's
+check margin: the worst ratio of a row's ``rel_error`` to the bound column
+that ``SWEEP_BOUNDS`` has its check read, and the op that gave it.  A
+change that moves a method's errors toward its bound shows there before
+any op fails.
 
 A timed run stops after a fixed time, so a faster checkout runs more ops
 and can reach a failing op that the other never runs.  Running this scan in
@@ -44,12 +48,27 @@ def digest(result):
             + repr(facts).encode())
 
 
-def scan(wl, seed, ops):
+def bound_ratio(row, bounds):
+    """rel_error over the bound column bounds[method] of a sweep row, or
+    None when the row has no error or no bound (a failed row)."""
+    err, bound = row["rel_error"], row[bounds[row["method"]]]
+    if isinstance(err, float) and isinstance(bound, float):
+        return err / bound
+    return None
+
+
+def scan(wl, seed, ops, bounds=None):
     """Set wl up for seed and run ops 0..ops-1: (failing (op, reason)
-    pairs, sha256 hex digest of the checked outputs)."""
+    pairs, sha256 hex digest of the checked outputs, worst margins).
+
+    The worst margins are {method: (ratio, op)}, each method's largest
+    bound_ratio over the ops' rows, when bounds (a method -> bound column
+    dict) is given, else {}.
+    """
     wl.setup(seed)
     sha = hashlib.sha256()
     failed = []
+    worst = {}
     for i in range(ops):
         try:
             result = wl.run_op(i)
@@ -59,9 +78,35 @@ def scan(wl, seed, ops):
         else:
             sha.update(digest(result))
             reason = wl.check(i, result)[0]
+            for row in result if bounds else ():
+                ratio = bound_ratio(row, bounds)
+                if ratio is not None and ratio > worst.get(
+                        row["method"], (-1.0,))[0]:
+                    worst[row["method"]] = (ratio, i)
         if reason:
             failed.append((i, reason))
-    return failed, sha.hexdigest()
+    return failed, sha.hexdigest(), worst
+
+
+def margin_line(seed, worst):
+    """One seed's worst margins as scan returns them, the closest first."""
+    return f"seed {seed} worst rel_error/bound: " + ", ".join(
+        f"{method} {ratio:.3f} (op {i})" for method, (ratio, i)
+        in sorted(worst.items(), key=lambda kv: -kv[1][0]))
+
+
+def load_workloads():
+    """perfbench/workloads.py as run.py loads it: BLAS pinned to one thread
+    by run.py's own pin before numpy loads, this checkout's src/ first on
+    the path.  Call it before anything imports numpy."""
+    sys.path[:0] = [SRC, PERFBENCH]
+    import run
+    run.pin_blas_threads()
+    import sketchlsq
+    import workloads  # numpy loads here, after the pin
+    if not os.path.abspath(sketchlsq.__file__).startswith(SRC + os.sep):
+        raise SystemExit(f"imported sketchlsq from {sketchlsq.__file__}")
+    return workloads
 
 
 def main(argv=None):
@@ -71,23 +116,21 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.ops < 1:
         ap.error(f"need OPS >= 1, got {args.ops}")
-    sys.path[:0] = [SRC, PERFBENCH]
-    import run
-    run.pin_blas_threads()
-    import sketchlsq
-    import workloads  # numpy loads here, after the pin
-    if not os.path.abspath(sketchlsq.__file__).startswith(SRC + os.sep):
-        ap.error(f"imported sketchlsq from {sketchlsq.__file__}")
+    workloads = load_workloads()
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}, expected one of "
                  f"{', '.join(workloads.WORKLOADS)}")
+    bounds = (workloads.SWEEP_BOUNDS
+              if args.workload == workloads.BoundSweep.name else None)
     for seed in SEEDS:
-        failed, hexdigest = scan(workloads.WORKLOADS[args.workload](), seed,
-                                 args.ops)
+        failed, hexdigest, worst = scan(workloads.WORKLOADS[args.workload](),
+                                        seed, args.ops, bounds)
         for i, reason in failed:
             print(f"seed {seed} op {i} failed: {reason}")
         print(f"seed {seed}: {args.ops} ops, {len(failed)} failed, "
               f"sha256 {hexdigest}", flush=True)
+        if worst:
+            print(margin_line(seed, worst), flush=True)
 
 
 if __name__ == "__main__":
