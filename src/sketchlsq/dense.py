@@ -318,6 +318,9 @@ def qr_r_factor(a):
 
 def _check_rhs(n, rhs):
     rhs = np.asarray(rhs)
+    if rhs.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"rhs must be 1-D or 2-D, got shape {rhs.shape}")
     if rhs.shape[0] != n:
         raise DimensionMismatch(f"rhs length {rhs.shape[0]} != n = {n}")
     return rhs

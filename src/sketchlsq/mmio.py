@@ -2,15 +2,18 @@
 
 Thin wrappers over scipy.io so every float64 value survives a write/read
 round trip bitwise (17 significant digits uniquely identify a binary64
-value).  Vectors are stored as single-column matrices.
+value).  Vectors are stored as single-column matrices.  scipy.io, and
+scipy.sparse with it, loads on the first read or write, so importing the
+package does not pay for them.
 """
 
 import numpy as np
-from scipy.io import mmread, mmwrite
 
 
 def write_matrix(path, a):
     """Write a dense matrix or vector to a Matrix Market array file."""
+    from scipy.io import mmwrite
+
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
@@ -24,6 +27,8 @@ def read_matrix(path):
 
     Raises ValueError for complex data, which has no float64 value.
     """
+    from scipy.io import mmread
+
     data = mmread(str(path))
     if hasattr(data, "toarray"):
         data = data.toarray()

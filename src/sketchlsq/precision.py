@@ -101,7 +101,12 @@ def round_to_precision(a, level):
         return a
     with np.errstate(over="ignore"):
         data = a.astype(level.dtype)
-    inf = np.isinf(data)
+    if level.dtype is np.float16:
+        # numpy runs isinf element by element on float16; the same test on
+        # the bits (exponent all ones, mantissa zero) is vectorized
+        inf = (data.view(np.uint16) & 0x7FFF) == 0x7C00
+    else:
+        inf = np.isinf(data)
     if inf.any() and np.isfinite(a[inf]).any():
         raise Overflow(f"input exceeds the {level.name} range")
     return data

@@ -99,7 +99,33 @@ def test_a_run_without_a_result_keeps_its_exit_and_stderr_tail():
 
 def test_import_seconds_times_the_checkouts_own_sketchlsq(tmp_path):
     bench = _bench_pairs()
-    seconds = bench.import_seconds(ROOT)
-    assert isinstance(seconds, float) and 0.0 < seconds < 60.0
-    # a checkout without sources gives None, not another install's time
-    assert bench.import_seconds(str(tmp_path)) is None
+    record = bench.import_footprint(ROOT)
+    assert isinstance(record["import_s"], float)
+    assert 0.0 < record["import_s"] < 60.0
+    assert 0.0 < record["import_rss_mb"] < 4096.0
+    # a checkout without sources gives None, not another install's figures
+    assert bench.import_footprint(str(tmp_path)) == {
+        "import_s": None, "import_rss_mb": None}
+
+
+def test_import_record_reads_seconds_and_peak_rss_and_summarizes_them():
+    bench = _bench_pairs()
+    assert bench.import_record(0, "0.3125 63488\n") == {
+        "import_s": 0.3125, "import_rss_mb": 62.0}
+    assert bench.import_record(1, "") == {
+        "import_s": None, "import_rss_mb": None}
+    pairs = []
+    for seed, (old_kb, new_kb) in enumerate(
+            [(66560, 63488), (66048, 63488), (65536, 64512)], start=1):
+        pair = {"seed": seed}
+        for side, peak_kb in (("parent", old_kb), ("change", new_kb)):
+            pair[side] = bench.outcome(0, _stdout(14.0), "", 0)[1]
+            pair[side].update(bench.import_record(0, f"0.3 {peak_kb}\n"))
+        pairs.append(pair)
+    summary = bench.summarize(pairs)
+    assert summary["import_rss_mb"]["parent"] == {
+        "q1": 64.25, "median": 64.5, "q3": 64.75}
+    assert summary["import_rss_mb"]["change"] == {
+        "q1": 62.0, "median": 62.0, "q3": 62.5}
+    assert summary["import_rss_mb"]["change_lower_in"] == 3
+    assert summary["import_s"]["change_lower_in"] == 0

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -149,6 +150,17 @@ def test_cholesky_rejects_bad_input():
         cholesky_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         cholesky_solve(np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+def test_solves_reject_a_scalar_or_3d_rhs():
+    r = np.triu(np.ones((3, 3))) + 2.0 * np.eye(3)
+    g = r.T @ r
+    for solve, a in ((triangular_solve, r), (cholesky_solve, g),
+                     (lu_solve, g)):
+        for rhs in (5.0, np.ones((3, 2, 2))):
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(str(np.shape(rhs)))):
+                solve(a, rhs)
 
 
 def test_jacobi_diagonal_is_exact():

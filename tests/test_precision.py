@@ -73,6 +73,13 @@ def test_round_to_precision_overflow_flag():
     with pytest.raises(Overflow, match="binary16 range"):
         round_to_precision(np.array([70000.0, -1e40]), BINARY16)
     assert round_to_precision(np.array([65504.0]), BINARY16)[0] == 65504.0
+    # the binary16 boundary: below 65520 rounds to 65504, 65520 overflows
+    assert round_to_precision(np.array([65519.99]), BINARY16)[0] == 65504.0
+    with pytest.raises(Overflow, match="binary16 range"):
+        round_to_precision(np.array([65520.0]), BINARY16)
+    # an infinite input is passed through, not reported as an overflow
+    assert np.array_equal(round_to_precision(np.array([-np.inf, 1.0]),
+                                             BINARY16), [-np.inf, 1.0])
     with pytest.raises(Overflow, match="binary32 range"):
         round_to_precision(np.array([1e39]), BINARY32)
 

@@ -11,8 +11,10 @@ never runs) and its minor faults per op (RUSAGE_CHILDREN, set-up included),
 or, when its stdout ends without a result, the last lines of its stderr;
 after each run, the seconds a fresh ``python3 -c`` child with BLAS pinned to
 one thread (as run.py pins it) takes to import that side's ``sketchlsq``
-(``import_s``, None if it fails), the import part of ``setup_s``; and per side
-the quartiles over the runs that gave a result.
+(``import_s``), the import part of ``setup_s``, and that child's peak
+resident set in MB (``import_rss_mb``), the import part of ``peak_rss_mb``,
+both None if the import fails; and per side the quartiles over the runs that
+gave a result.
 """
 
 import argparse
@@ -31,14 +33,14 @@ STDERR_LINES = 20
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 IMPORT_CODE = """
-import os, sys, time
+import os, resource, sys, time
 sys.path.insert(0, os.path.abspath("src"))
 t0 = time.perf_counter()
 import sketchlsq
 seconds = time.perf_counter() - t0
 if not os.path.abspath(sketchlsq.__file__).startswith(sys.path[0] + os.sep):
     sys.exit(f"imported {sketchlsq.__file__}")
-print(seconds)
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -69,13 +71,24 @@ def outcome(returncode, stdout, stderr, faults):
     return machine, record
 
 
-def import_seconds(cwd):
-    """Seconds a fresh child takes to import sketchlsq from cwd/src, with
-    BLAS on one thread; None when the import fails or comes from elsewhere."""
+def import_record(returncode, stdout):
+    """``import_s`` and ``import_rss_mb`` from an IMPORT_CODE child's exit
+    code and stdout (seconds, then ru_maxrss in kB as run.py reads it); None
+    for each when the child failed."""
+    if returncode != 0:
+        return {"import_s": None, "import_rss_mb": None}
+    seconds, peak_kb = stdout.split()
+    return {"import_s": float(seconds), "import_rss_mb": int(peak_kb) / 1024.0}
+
+
+def import_footprint(cwd):
+    """The import record of a fresh child that imports sketchlsq from
+    cwd/src with BLAS on one thread; None values when the import fails or
+    comes from elsewhere."""
     env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
     proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=cwd,
                           env=env, capture_output=True, text=True)
-    return float(proc.stdout) if proc.returncode == 0 else None
+    return import_record(proc.returncode, proc.stdout)
 
 
 def run(cwd, workload, seed, seconds):
@@ -87,7 +100,7 @@ def run(cwd, workload, seed, seconds):
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     machine, record = outcome(proc.returncode, proc.stdout, proc.stderr,
                               faults)
-    record["import_s"] = import_seconds(cwd)
+    record.update(import_footprint(cwd))
     return machine, record
 
 
