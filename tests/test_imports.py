@@ -21,7 +21,7 @@ import sketchlsq
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Run in a fresh child from the repository root, with src on the path as
-# tools/bench_pairs.py puts it: the test process has loaded scipy.io already.
+# tools/bench_pairs.py puts it: this process may have loaded scipy.io already.
 FOOTPRINT_CODE = """
 import json, os, sys
 sys.path.insert(0, os.path.abspath("src"))
